@@ -13,14 +13,15 @@
 # hot-shard avalanche signature, and every CLI must reject malformed
 # numeric flag values (strict shared parser, no atoi truncation).
 # Finally runs the bench-suite smoke tier gated against the committed
-# baseline (bench/baseline.json), re-runs it with --jobs 2 (fork mode) and
-# with --jobs 2 --jobs-mode threads --host-threads 2 (in-process pool) to
-# prove parallel execution reproduces the sequential results bit-for-bit
-# (modulo host wall-time fields), and self-checks that a planted 50%
-# throughput regression and a planted 5x simulator slowdown are actually
-# caught. A ThreadSanitizer build of the parallel paths (parallel_test plus
-# a threaded stress smoke) guards the in-process fan-out itself, with the
-# engine's fiber switches annotated via the TSan fiber API.
+# baseline (bench/baseline.json), checks that `bench_suite --list` shows the
+# registry's real point fields, re-runs the tier with --jobs 2
+# --host-threads 2 (in-process pool) to prove parallel execution reproduces
+# the sequential results bit-for-bit (modulo host wall-time fields), and
+# self-checks that a planted 50% throughput regression and a planted 5x
+# simulator slowdown are actually caught. A ThreadSanitizer build of the
+# parallel paths (parallel_test plus a threaded stress smoke) guards the
+# in-process fan-out itself, with the engine's fiber switches annotated via
+# the TSan fiber API.
 # The ASan+UBSan ctest pass includes line_table_test's randomized
 # differential fuzz of the open-addressing LineTable against a
 # std::unordered_map reference, plus the wide-thread-mask paths
@@ -208,7 +209,7 @@ assert doc["schema_version"] == 1 and doc["tier"] == "smoke", doc.keys()
 assert doc["points"], "no points in BENCH_results.json"
 host = doc["run"]["host"]
 assert host["cores"] >= 1 and host["jobs"] == 1, host
-assert host["jobs_mode"] == "fork" and host["host_threads"] == 1, host
+assert host["host_threads"] == 1, host
 assert host["total_wall_ms"] > 0
 for p in doc["points"]:
     m = p["metrics"]
@@ -223,6 +224,16 @@ for canary in ("micro-engine-rtm-t8", "micro-engine-rtm-t64"):
 print(f"bench suite: {len(doc['points'])} smoke points, schema valid,"
       f" both sim-speed canaries present")
 EOF
+
+# --list reads each point kind's field table: a full-tier B+tree row must
+# show its real lock, policy spec and tree size.
+"$BUILD"/tools/bench_suite --list --tier full | awk '
+  $1 == "bt-s1024-u10-c100-l64-t8-shared-mcs-hle+shared" &&
+  $5 == "shared-mcs" && $6 == "hle+shared" && $7 == 1024 { found = 1 }
+  END { exit !found }' || {
+  echo "check: bench_suite --list misreports the shared-mcs btree row" >&2
+  exit 1; }
+echo "bench suite: --list shows btree lock, policy and size"
 
 # Adaptive end-to-end outcome: the smoke tier carries the phase-shifting
 # points (ph-*, figure adaptive-phases). Beyond the suite's own gated
@@ -307,8 +318,7 @@ EOF
 # kill switch engages and the fast paths never change virtual-time results.
 fp_on_json=$(mktemp)
 fp_off_json=$(mktemp)
-trap 'rm -f "$metrics" "$bench_json" "$bench_par_json" "$bench_thr_json" \
-     "$fp_on_json" "$fp_off_json"' EXIT
+trap 'rm -f "$metrics" "$bench_json" "$fp_on_json" "$fp_off_json"' EXIT
 "$BUILD"/tools/bench_suite --tier smoke --point rb-s64-u20-t8-ttas-hle-scm \
     --out "$fp_on_json" --quiet
 ELISION_FASTPATH=0 "$BUILD"/tools/bench_suite --tier smoke \
@@ -342,8 +352,8 @@ EOF
 # baseline and carry the 128- and 256-thread fig5.1 points the fast path
 # paid for (the t256 shape is the scheduler's kMaxSimThreads ceiling).
 bench_full_json=$(mktemp)
-trap 'rm -f "$metrics" "$bench_json" "$bench_par_json" "$bench_thr_json" \
-     "$fp_on_json" "$fp_off_json" "$bench_full_json"' EXIT
+trap 'rm -f "$metrics" "$bench_json" "$fp_on_json" "$fp_off_json" \
+     "$bench_full_json"' EXIT
 "$BUILD"/tools/bench_suite --tier full --out "$bench_full_json" \
     --baseline bench/baseline.json --gate --tol-simops 0.9 --quiet || {
   echo "check: bench_suite full-tier gate failed" >&2; exit 1; }
@@ -398,38 +408,30 @@ done
 echo "CLI parsing: all tools reject malformed numeric flag values"
 
 # Parallel execution must reproduce the sequential run exactly: every
-# simulated metric is deterministic per seed, so fanning the points out —
-# to worker subprocesses (--jobs-mode fork) or onto an in-process pool
-# (--jobs-mode threads), with or without per-point multi-seed fan-out
-# (--host-threads) — may only change the host wall-time fields (wall_ms,
+# simulated metric is deterministic per seed, so running the points on the
+# in-process pool (--jobs), with per-point multi-seed fan-out
+# (--host-threads), may only change the host wall-time fields (wall_ms,
 # sim_ops_per_sec, run.host).
-bench_par_json=$(mktemp)
 bench_thr_json=$(mktemp)
-trap 'rm -f "$metrics" "$bench_json" "$bench_par_json" "$bench_thr_json"' EXIT
-"$BUILD"/tools/bench_suite --tier smoke --jobs 2 --out "$bench_par_json" \
-    --quiet || {
-  echo "check: bench_suite --jobs 2 run failed" >&2; exit 1; }
-"$BUILD"/tools/bench_suite --tier smoke --jobs 2 --jobs-mode threads \
-    --host-threads 2 --out "$bench_thr_json" --quiet || {
-  echo "check: bench_suite --jobs-mode threads run failed" >&2; exit 1; }
-python3 - "$bench_json" "$bench_par_json" "$bench_thr_json" <<'EOF'
+trap 'rm -f "$metrics" "$bench_json" "$fp_on_json" "$fp_off_json" \
+     "$bench_full_json" "$bench_thr_json"' EXIT
+"$BUILD"/tools/bench_suite --tier smoke --jobs 2 --host-threads 2 \
+    --out "$bench_thr_json" --quiet || {
+  echo "check: bench_suite --jobs 2 --host-threads 2 run failed" >&2; exit 1; }
+python3 - "$bench_json" "$bench_thr_json" <<'EOF'
 import json, sys
-seq, par, thr = (json.load(open(p)) for p in sys.argv[1:4])
-assert par["run"]["host"]["jobs"] == 2, par["run"]["host"]
-assert par["run"]["host"]["jobs_mode"] == "fork", par["run"]["host"]
+seq, thr = (json.load(open(p)) for p in sys.argv[1:3])
 assert thr["run"]["host"]["jobs"] == 2, thr["run"]["host"]
-assert thr["run"]["host"]["jobs_mode"] == "threads", thr["run"]["host"]
 assert thr["run"]["host"]["host_threads"] == 2, thr["run"]["host"]
-for doc in (seq, par, thr):
+for doc in (seq, thr):
     del doc["run"]["host"]
     for p in doc["points"]:
         del p["metrics"]["sim_ops_per_sec"], p["metrics"]["wall_ms"]
         # The fastpath hit counts are heap-layout-sensitive (line ids are
-        # real addresses), so like wall_ms they may differ across processes.
+        # real addresses), so like wall_ms they may differ across runs.
         p["metrics"].pop("fastpath", None)
-assert seq == par, "fork-parallel run diverged from sequential run"
-assert seq == thr, "in-process threaded run diverged from sequential run"
-print("bench suite: --jobs 2 (fork and threads) reproduces the sequential"
+assert seq == thr, "parallel run diverged from sequential run"
+print("bench suite: --jobs 2 --host-threads 2 reproduces the sequential"
       " results exactly")
 EOF
 

@@ -21,7 +21,6 @@ struct RbPoint {
   std::size_t size = 128;
   int update_pct = 20;  // split evenly between inserts and deletes
   int threads = 8;
-  // Accepts a bare locks::Scheme (implicit conversion) or a tuned policy.
   locks::ElisionPolicy scheme = locks::ElisionPolicy::standard();
   LockSel lock = LockSel::kTtas;
   double duration_sec = 0.003;

@@ -1,14 +1,14 @@
 #include "harness/suite.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cmath>
-#include <cstring>
-#include <thread>
+#include <iterator>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "harness/micro_point.hpp"
-#include "sim/machine_config.hpp"
 #include "tsx/telemetry.hpp"
 
 namespace elision::harness {
@@ -40,6 +40,208 @@ std::optional<SuiteTier> suite_tier_from_name(const std::string& name) {
 
 namespace {
 
+// ---- per-kind field tables ----
+//
+// Each kind's point fields, in JSON line order: the key, the member it
+// mirrors, the `--list` column it fills (if any), and whether it is an
+// override written only when non-zero. Overrides go on a second line so the
+// lines of points that leave them unset stay byte-identical to documents
+// written before the override existed. The JSON emitter, the parser and
+// `--list` all walk these tables, so a field added here is written, read
+// back and listed consistently.
+template <class P, class T>
+struct Field {
+  const char* key;
+  T P::*member;
+  const char* column;
+  bool nonzero_only;
+};
+
+template <class P, class T>
+constexpr Field<P, T> field(const char* key, T P::*member,
+                            const char* column = nullptr) {
+  return {key, member, column, false};
+}
+
+template <class P, class T>
+constexpr Field<P, T> override_field(const char* key, T P::*member) {
+  return {key, member, nullptr, true};
+}
+
+template <class P>
+struct Fields;
+
+template <>
+struct Fields<RbPoint> {
+  static constexpr auto all = std::tuple{
+      field("lock", &RbPoint::lock, "lock"),
+      field("scheme", &RbPoint::scheme, "scheme"),
+      field("size", &RbPoint::size, "size"),
+      field("update_pct", &RbPoint::update_pct, "upd%"),
+      field("threads", &RbPoint::threads, "thr"),
+      field("seeds", &RbPoint::seeds, "seeds"),
+      field("duration_sec", &RbPoint::duration_sec),
+      field("seed", &RbPoint::seed),
+      field("telemetry", &RbPoint::telemetry),
+      override_field("n_cores", &RbPoint::n_cores),
+      override_field("smt_per_core", &RbPoint::smt_per_core),
+      override_field("yield_slack_cycles", &RbPoint::yield_slack_cycles),
+      override_field("micro_ops", &RbPoint::micro_ops),
+      override_field("micro_shared_period", &RbPoint::micro_shared_period)};
+};
+
+template <>
+struct Fields<MicroShape> : Fields<RbPoint> {};
+
+template <>
+struct Fields<BtPoint> {
+  static constexpr auto all = std::tuple{
+      field("lock", &BtPoint::lock, "lock"),
+      field("scheme", &BtPoint::policy, "scheme"),
+      field("size", &BtPoint::size, "size"),
+      field("update_pct", &BtPoint::update_pct, "upd%"),
+      field("scan_pct", &BtPoint::scan_pct),
+      field("scan_len", &BtPoint::scan_len),
+      field("threads", &BtPoint::threads, "thr"),
+      field("seeds", &BtPoint::seeds, "seeds"),
+      field("duration_sec", &BtPoint::duration_sec),
+      field("seed", &BtPoint::seed),
+      field("telemetry", &BtPoint::telemetry)};
+};
+
+template <>
+struct Fields<PhasePoint> {
+  static constexpr auto all = std::tuple{
+      field("lock", &PhasePoint::lock, "lock"),
+      field("scheme", &PhasePoint::scheme, "scheme"),
+      field("size", &PhasePoint::size, "size"),
+      field("calm_update_pct", &PhasePoint::calm_update_pct, "upd%"),
+      field("storm_update_pct", &PhasePoint::storm_update_pct, "upd%"),
+      field("threads", &PhasePoint::threads, "thr"),
+      field("seeds", &PhasePoint::seeds, "seeds"),
+      field("phase_sec", &PhasePoint::phase_sec),
+      field("seed", &PhasePoint::seed),
+      field("telemetry", &PhasePoint::telemetry)};
+};
+
+template <>
+struct Fields<service::KvPoint> {
+  using P = service::KvPoint;
+  static constexpr auto all = std::tuple{
+      field("scheme", &P::policy, "scheme"),
+      field("shards", &P::shards),
+      field("keys", &P::keys, "size"),
+      field("clients", &P::clients),
+      field("client_rate_hz", &P::client_rate_hz),
+      field("zipf_theta", &P::zipf_theta),
+      field("put_pct", &P::put_pct, "upd%"),
+      field("multi_put_pct", &P::multi_put_pct, "upd%"),
+      field("transfer_pct", &P::transfer_pct, "upd%"),
+      field("multi_put_keys", &P::multi_put_keys),
+      field("threads", &P::threads, "thr"),
+      field("seeds", &P::seeds, "seeds"),
+      field("duration_sec", &P::duration_sec),
+      field("seed", &P::seed),
+      field("telemetry", &P::telemetry)};
+};
+
+// Calls fn(field, value) for every field of the spec's kind, in table
+// order; `value` is mutable when `spec` is.
+template <class Spec, class Fn>
+void for_each_field(Spec& spec, Fn&& fn) {
+  std::visit(
+      [&](auto& p) {
+        using P = std::remove_cvref_t<decltype(p)>;
+        std::apply([&](const auto&... f) { (fn(f, p.*f.member), ...); },
+                   Fields<P>::all);
+      },
+      spec);
+}
+
+// Field values as text: numbers as printf's %d/%u/%zu/%llu/%g write them,
+// lock selections and policies by name (JSON-quoted by json_member).
+template <class T>
+  requires std::is_integral_v<T>
+std::string text(T v) {
+  return std::to_string(v);
+}
+std::string text(bool b) { return b ? "true" : "false"; }
+std::string text(double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", d);
+  return buf;
+}
+std::string text(LockSel l) { return lock_sel_name(l); }
+std::string text(SharedLockSel l) { return shared_lock_sel_name(l); }
+std::string text(const locks::ElisionPolicy& p) { return p.spec(); }
+
+template <class T>
+std::string json_member(const char* key, const T& v) {
+  std::string out = std::string("\"") + key + "\":";
+  if constexpr (std::is_arithmetic_v<T>) return out + text(v);
+  return out + '"' + support::json::escape(text(v)) + '"';
+}
+
+template <class T>
+bool is_zero(const T& v) {
+  if constexpr (std::is_arithmetic_v<T>) return v == T{};
+  return false;
+}
+
+// Reads a JSON value into a field; false if a name does not parse.
+template <class T>
+  requires std::is_integral_v<T>
+bool read(const support::json::Value& v, T& out) {
+  out = static_cast<T>(v.as_u64());
+  return true;
+}
+bool read(const support::json::Value& v, bool& out) {
+  out = v.as_bool();
+  return true;
+}
+bool read(const support::json::Value& v, double& out) {
+  out = v.as_double();
+  return true;
+}
+// E's enumerators are 0..last.
+template <class E>
+bool read_enum(const support::json::Value& v, E& out, E last) {
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    if (v.as_string() == text(static_cast<E>(i))) {
+      out = static_cast<E>(i);
+      return true;
+    }
+  }
+  return false;
+}
+bool read(const support::json::Value& v, LockSel& out) {
+  return read_enum(v, out, LockSel::kClh);
+}
+bool read(const support::json::Value& v, SharedLockSel& out) {
+  return read_enum(v, out, SharedLockSel::kSharedMcs);
+}
+bool read(const support::json::Value& v, locks::ElisionPolicy& out) {
+  const auto p = locks::ElisionPolicy::parse(v.as_string());
+  if (p) out = *p;
+  return p.has_value();
+}
+
+// Default-constructs `spec` as the alternative of the kind named `name`.
+template <std::size_t I = 0>
+bool emplace_kind(PointSpec& spec, const std::string& name) {
+  if constexpr (I == std::variant_size_v<PointSpec>) {
+    return false;
+  } else {
+    if (name == point_kind_name(static_cast<PointKind>(I))) {
+      spec.emplace<I>();
+      return true;
+    }
+    return emplace_kind<I + 1>(spec, name);
+  }
+}
+
+// ---- the registry ----
+
 const char* lock_slug(LockSel l) {
   switch (l) {
     case LockSel::kTtas: return "ttas";
@@ -53,54 +255,72 @@ const char* lock_slug(LockSel l) {
 }
 
 // Point ids and the JSON "scheme" field both use the policy's canonical
-// spec spelling (locks/policy.hpp). For the pre-existing points this equals
-// the lower-cased scheme name the ids historically used, so baselines keep
-// matching.
-std::string scheme_slug(const locks::ElisionPolicy& p) { return p.spec(); }
-
+// spec spelling (locks/policy.hpp).
 SuitePoint make_point(SuiteTier tier, const char* figure, std::size_t size,
                       int update_pct, int threads, LockSel lock,
                       locks::ElisionPolicy scheme, bool telemetry = false) {
-  SuitePoint sp;
-  sp.tier = tier;
-  sp.figure = figure;
-  sp.point.size = size;
-  sp.point.update_pct = update_pct;
-  sp.point.threads = threads;
-  sp.point.lock = lock;
-  sp.point.scheme = scheme;
-  sp.point.telemetry = telemetry;
-  sp.point.duration_sec = 0.003;
-  sp.point.seeds = threads == 1 ? 1 : 2;
-  sp.id = "rb-s" + std::to_string(size) + "-u" + std::to_string(update_pct) +
-          "-t" + std::to_string(threads) + "-" + lock_slug(lock) + "-" +
-          scheme_slug(scheme);
+  RbPoint p;
+  p.size = size;
+  p.update_pct = update_pct;
+  p.threads = threads;
+  p.lock = lock;
+  p.scheme = scheme;
+  p.telemetry = telemetry;
+  p.duration_sec = 0.003;
+  p.seeds = threads == 1 ? 1 : 2;
+  return {"rb-s" + std::to_string(size) + "-u" + std::to_string(update_pct) +
+              "-t" + std::to_string(threads) + "-" + lock_slug(lock) + "-" +
+              scheme.spec(),
+          tier, figure, p};
+}
+
+// The fig5.1 shape on a `cores`-core / 2-SMT machine. A bit of yield slack
+// keeps the wide interleaving from degenerating into access-granularity
+// round-robin; the -m<cores>x2 suffix keeps future shapes at the same
+// (size, threads) distinct.
+SuitePoint big_machine_point(int threads, unsigned cores) {
+  SuitePoint sp = make_point(SuiteTier::kFull, "fig5.1-big", 64, 20, threads,
+                             LockSel::kTtas, locks::ElisionPolicy::hle_scm());
+  auto& p = std::get<RbPoint>(sp.spec);
+  p.n_cores = cores;
+  p.smt_per_core = 2;
+  p.yield_slack_cycles = 200;
+  sp.id += "-m" + std::to_string(cores) + "x2";
   return sp;
+}
+
+// Fixed-work simulator-speed canary (harness/micro_point.hpp): one seed, no
+// virtual-time limit.
+SuitePoint make_micro_point(const char* id, int threads, std::size_t words) {
+  MicroShape p;
+  p.threads = threads;
+  p.size = words;
+  p.update_pct = 0;
+  p.seeds = 1;
+  p.duration_sec = 0.0;
+  return {id, SuiteTier::kSmoke, "sim-speed", p};
 }
 
 SuitePoint make_bt_point(SuiteTier tier, const char* figure, std::size_t size,
                          int update_pct, int scan_pct, std::size_t scan_len,
                          int threads, SharedLockSel lock,
                          locks::ElisionPolicy policy, bool telemetry = false) {
-  SuitePoint sp;
-  sp.tier = tier;
-  sp.figure = figure;
-  sp.kind = PointKind::kBtree;
-  sp.bt.size = size;
-  sp.bt.update_pct = update_pct;
-  sp.bt.scan_pct = scan_pct;
-  sp.bt.scan_len = scan_len;
-  sp.bt.threads = threads;
-  sp.bt.lock = lock;
-  sp.bt.policy = policy;
-  sp.bt.telemetry = telemetry;
-  sp.bt.duration_sec = 0.003;
-  sp.bt.seeds = threads == 1 ? 1 : 2;
-  sp.id = "bt-s" + std::to_string(size) + "-u" + std::to_string(update_pct) +
-          "-c" + std::to_string(scan_pct) + "-l" + std::to_string(scan_len) +
-          "-t" + std::to_string(threads) + "-" + shared_lock_sel_name(lock) +
-          "-" + policy.spec();
-  return sp;
+  BtPoint p;
+  p.size = size;
+  p.update_pct = update_pct;
+  p.scan_pct = scan_pct;
+  p.scan_len = scan_len;
+  p.threads = threads;
+  p.lock = lock;
+  p.policy = policy;
+  p.telemetry = telemetry;
+  p.duration_sec = 0.003;
+  p.seeds = threads == 1 ? 1 : 2;
+  return {"bt-s" + std::to_string(size) + "-u" + std::to_string(update_pct) +
+              "-c" + std::to_string(scan_pct) + "-l" +
+              std::to_string(scan_len) + "-t" + std::to_string(threads) +
+              "-" + shared_lock_sel_name(lock) + "-" + policy.spec(),
+          tier, figure, p};
 }
 
 // Sharded-KV service points. The id encodes the shard/domain/skew/mix shape
@@ -110,49 +330,44 @@ SuitePoint make_kv_point(SuiteTier tier, const char* figure, int shards,
                          int put_pct, int multi_put_pct, int transfer_pct,
                          int threads, locks::ElisionPolicy policy,
                          bool telemetry = false) {
-  SuitePoint sp;
-  sp.tier = tier;
-  sp.figure = figure;
-  sp.kind = PointKind::kKv;
-  sp.kv.shards = shards;
-  sp.kv.keys = keys;
-  sp.kv.clients = clients;
-  sp.kv.zipf_theta = zipf_theta;
-  sp.kv.put_pct = put_pct;
-  sp.kv.multi_put_pct = multi_put_pct;
-  sp.kv.transfer_pct = transfer_pct;
-  sp.kv.threads = threads;
-  sp.kv.policy = policy;
-  sp.kv.telemetry = telemetry;
-  sp.kv.duration_sec = 0.003;
-  sp.kv.seeds = threads == 1 ? 1 : 2;
-  sp.id = "kv-sh" + std::to_string(shards) + "-k" + std::to_string(keys) +
-          "-z" + std::to_string(static_cast<int>(zipf_theta * 100 + 0.5)) +
-          "-u" + std::to_string(put_pct + multi_put_pct + transfer_pct) +
-          "-t" + std::to_string(threads) + "-" + scheme_slug(policy);
-  return sp;
+  service::KvPoint p;
+  p.shards = shards;
+  p.keys = keys;
+  p.clients = clients;
+  p.zipf_theta = zipf_theta;
+  p.put_pct = put_pct;
+  p.multi_put_pct = multi_put_pct;
+  p.transfer_pct = transfer_pct;
+  p.threads = threads;
+  p.policy = policy;
+  p.telemetry = telemetry;
+  p.duration_sec = 0.003;
+  p.seeds = threads == 1 ? 1 : 2;
+  return {"kv-sh" + std::to_string(shards) + "-k" + std::to_string(keys) +
+              "-z" + std::to_string(static_cast<int>(zipf_theta * 100 + 0.5)) +
+              "-u" + std::to_string(put_pct + multi_put_pct + transfer_pct) +
+              "-t" + std::to_string(threads) + "-" + policy.spec(),
+          tier, figure, p};
 }
 
 SuitePoint make_phase_point(SuiteTier tier, const char* figure,
                             std::size_t size, int calm_pct, int storm_pct,
                             int threads, LockSel lock,
                             locks::ElisionPolicy policy) {
-  SuitePoint sp;
-  sp.tier = tier;
-  sp.figure = figure;
-  sp.kind = PointKind::kPhase;
-  sp.phase.size = size;
-  sp.phase.calm_update_pct = calm_pct;
-  sp.phase.storm_update_pct = storm_pct;
-  sp.phase.threads = threads;
-  sp.phase.lock = lock;
-  sp.phase.scheme = policy;
-  sp.phase.phase_sec = 0.001;
-  sp.phase.seeds = 2;
-  sp.id = "ph-s" + std::to_string(size) + "-u" + std::to_string(calm_pct) +
-          "-" + std::to_string(storm_pct) + "-t" + std::to_string(threads) +
-          "-" + lock_slug(lock) + "-" + scheme_slug(policy);
-  return sp;
+  PhasePoint p;
+  p.size = size;
+  p.calm_update_pct = calm_pct;
+  p.storm_update_pct = storm_pct;
+  p.threads = threads;
+  p.lock = lock;
+  p.scheme = policy;
+  p.phase_sec = 0.001;
+  p.seeds = 2;
+  return {"ph-s" + std::to_string(size) + "-u" + std::to_string(calm_pct) +
+              "-" + std::to_string(storm_pct) + "-t" +
+              std::to_string(threads) + "-" + lock_slug(lock) + "-" +
+              policy.spec(),
+          tier, figure, p};
 }
 
 std::vector<SuitePoint> build_points() {
@@ -192,40 +407,20 @@ std::vector<SuitePoint> build_points() {
   // sim_ops_per_sec (simulated ops per host second) gates host-side engine
   // performance. Its simulated metrics are deterministic like every other
   // point's.
-  {
-    SuitePoint sp;
-    sp.tier = S;
-    sp.figure = "sim-speed";
-    sp.kind = PointKind::kMicro;
-    sp.id = "micro-engine-rtm-t8";
-    sp.point.threads = 8;
-    sp.point.size = 1024;  // array words
-    sp.point.update_pct = 0;
-    sp.point.seeds = 1;
-    sp.point.duration_sec = 0.0;  // fixed work, not fixed virtual time
-    v.push_back(sp);
-  }
+  v.push_back(make_micro_point("micro-engine-rtm-t8", 8, 1024));
   // Big-machine simulator-speed canary: 64 threads on a 32-core / 2-SMT
   // machine, striped stripes with a sparser shared-line period (every 64th
   // op) and a little yield slack so the scheduler runs long bursts — the
   // configuration the O(log N) ready queue exists for. Gated like the t8
   // canary; the two together pin both ends of the machine-size range.
   {
-    SuitePoint sp;
-    sp.tier = S;
-    sp.figure = "sim-speed";
-    sp.kind = PointKind::kMicro;
-    sp.id = "micro-engine-rtm-t64";
-    sp.point.threads = 64;
-    sp.point.size = 16384;  // array words
-    sp.point.update_pct = 0;
-    sp.point.seeds = 1;
-    sp.point.duration_sec = 0.0;
-    sp.point.micro_ops = 8000;
-    sp.point.micro_shared_period = 64;
-    sp.point.n_cores = 32;
-    sp.point.smt_per_core = 2;
-    sp.point.yield_slack_cycles = 200;
+    SuitePoint sp = make_micro_point("micro-engine-rtm-t64", 64, 16384);
+    auto& p = std::get<MicroShape>(sp.spec);
+    p.micro_ops = 8000;
+    p.micro_shared_period = 64;
+    p.n_cores = 32;
+    p.smt_per_core = 2;
+    p.yield_slack_cycles = 200;
     v.push_back(sp);
   }
 
@@ -332,45 +527,16 @@ std::vector<SuitePoint> build_points() {
                          ElisionPolicy::hle_scm_nested()));
   v.push_back(make_point(F, "abl-grouped-scm", 64, 20, 8, LockSel::kTtas,
                          ElisionPolicy::hle_grouped_scm()));
-  // Big-machine scaling point: the fig5.1 shape at 64 threads on a 32-core /
-  // 2-SMT machine — the regime Fissile Locks / the HTM tree template report
-  // from and the reason the scheduler grew an O(log N) ready queue. A bit of
-  // yield slack keeps the 64-way interleaving from degenerating into
-  // access-granularity round-robin. The -m32x2 suffix encodes the machine
-  // shape in the id so future shapes at the same (size, threads) stay
-  // distinct.
-  {
-    SuitePoint sp = make_point(F, "fig5.1-big", 64, 20, 64, LockSel::kTtas,
-                               ElisionPolicy::hle_scm());
-    sp.point.n_cores = 32;
-    sp.point.smt_per_core = 2;
-    sp.point.yield_slack_cycles = 200;
-    sp.id += "-m32x2";
-    v.push_back(sp);
-  }
-  // Machine-scale extension of the same curve: 128 and 256 threads on
-  // proportionally wider 2-SMT machines (256 is the scheduler's
-  // kMaxSimThreads cap and exercises the ready queue's full two-level
-  // tournament). These exist because the per-access fast path bought the
-  // host headroom to simulate them in the full tier at all.
-  {
-    SuitePoint sp = make_point(F, "fig5.1-big", 64, 20, 128, LockSel::kTtas,
-                               ElisionPolicy::hle_scm());
-    sp.point.n_cores = 64;
-    sp.point.smt_per_core = 2;
-    sp.point.yield_slack_cycles = 200;
-    sp.id += "-m64x2";
-    v.push_back(sp);
-  }
-  {
-    SuitePoint sp = make_point(F, "fig5.1-big", 64, 20, 256, LockSel::kTtas,
-                               ElisionPolicy::hle_scm());
-    sp.point.n_cores = 128;
-    sp.point.smt_per_core = 2;
-    sp.point.yield_slack_cycles = 200;
-    sp.id += "-m128x2";
-    v.push_back(sp);
-  }
+  // Big-machine scaling points: the fig5.1 shape at 64 threads on a 32-core
+  // / 2-SMT machine — the regime Fissile Locks / the HTM tree template
+  // report from and the reason the scheduler grew an O(log N) ready queue —
+  // extended to 128 and 256 threads on proportionally wider machines (256
+  // is the scheduler's kMaxSimThreads cap and exercises the ready queue's
+  // full two-level tournament). The per-access fast path bought the host
+  // headroom to simulate them in the full tier at all.
+  v.push_back(big_machine_point(64, 32));
+  v.push_back(big_machine_point(128, 64));
+  v.push_back(big_machine_point(256, 128));
   return v;
 }
 
@@ -389,6 +555,21 @@ std::vector<SuitePoint> suite_points_for(SuiteTier tier) {
     }
   }
   return out;
+}
+
+std::vector<std::string> list_cells(const SuitePoint& sp) {
+  std::vector<std::string> cells(std::size(kListColumns));
+  for_each_field(sp.spec, [&](const auto& f, const auto& value) {
+    if (f.column == nullptr) return;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      if (std::string_view(f.column) != kListColumns[c]) continue;
+      cells[c] += (cells[c].empty() ? "" : "-") + text(value);
+    }
+  });
+  for (auto& cell : cells) {
+    if (cell.empty()) cell = "-";
+  }
+  return cells;
 }
 
 PointMetrics PointMetrics::derive(const RunStats& stats) {
@@ -435,87 +616,46 @@ const PointRecord* SuiteResult::find(const std::string& id) const {
 
 namespace {
 
-// Dispatches to the point's workload and fills the host-speed metrics.
-PointMetrics run_point_metrics(const SuitePoint& sp) {
+RunStats run_spec(const RbPoint& p) { return run_rb_point(p); }
+RunStats run_spec(const BtPoint& p) { return run_bt_point(p); }
+RunStats run_spec(const PhasePoint& p) { return run_phase_point(p); }
+RunStats run_spec(const service::KvPoint& p) {
+  return service::run_kv_point(p);
+}
+RunStats run_spec(const MicroShape& p) {
+  MicroPoint mp;
+  mp.threads = p.threads;
+  mp.array_words = p.size;
+  mp.seed = p.seed;
+  if (p.micro_ops != 0) mp.ops_per_thread = p.micro_ops;
+  if (p.micro_shared_period != 0) mp.shared_period = p.micro_shared_period;
+  mp.n_cores = p.n_cores;
+  mp.smt_per_core = p.smt_per_core;
+  mp.yield_slack_cycles = p.yield_slack_cycles;
+  return run_micro_point(mp);
+}
+
+}  // namespace
+
+PointRecord run_suite_point(const SuitePoint& sp, int host_threads) {
+  PointSpec spec = sp.spec;
+  std::visit([&](auto& p) { p.host_threads = std::max(host_threads, 1); },
+             spec);
   const auto t0 = std::chrono::steady_clock::now();
-  RunStats stats;
-  if (sp.kind == PointKind::kMicro) {
-    MicroPoint mp;
-    mp.threads = sp.point.threads;
-    mp.array_words = sp.point.size;
-    mp.seed = sp.point.seed;
-    if (sp.point.micro_ops != 0) mp.ops_per_thread = sp.point.micro_ops;
-    if (sp.point.micro_shared_period != 0) {
-      mp.shared_period = sp.point.micro_shared_period;
-    }
-    mp.n_cores = sp.point.n_cores;
-    mp.smt_per_core = sp.point.smt_per_core;
-    mp.yield_slack_cycles = sp.point.yield_slack_cycles;
-    stats = run_micro_point(mp);
-  } else if (sp.kind == PointKind::kBtree) {
-    stats = run_bt_point(sp.bt);
-  } else if (sp.kind == PointKind::kPhase) {
-    stats = run_phase_point(sp.phase);
-  } else if (sp.kind == PointKind::kKv) {
-    stats = service::run_kv_point(sp.kv);
-  } else {
-    stats = run_rb_point(sp.point);
-  }
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  const RunStats stats =
+      std::visit([](const auto& p) { return run_spec(p); }, spec);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
   PointMetrics m = PointMetrics::derive(stats);
-  if (sp.kind == PointKind::kPhase) {
+  if (sp.kind() == PointKind::kPhase) {
     const auto per_phase = phase_ops_of(stats);
     m.phase_ops.assign(per_phase.begin(), per_phase.end());
   }
   m.wall_ms = wall_ms;
   m.sim_ops_per_sec =
       wall_ms > 0 ? static_cast<double>(m.ops) / (wall_ms / 1e3) : 0.0;
-  return m;
-}
-
-}  // namespace
-
-SuiteResult run_suite(SuiteTier tier, const SuiteRunOptions& opts) {
-  const auto t0 = std::chrono::steady_clock::now();
-  SuiteResult result;
-  result.tier = tier;
-  result.duration_scale = env_duration_scale();
-  result.telemetry_compiled = tsx::kTelemetryCompiled;
-  const sim::MachineConfig machine;  // every point runs the paper's machine
-  result.n_cores = machine.n_cores;
-  result.smt_per_core = machine.smt_per_core;
-  result.ghz = machine.ghz;
-  result.host_cores = std::thread::hardware_concurrency();
-  result.jobs = 1;
-  result.host_threads = opts.host_threads > 0 ? opts.host_threads : 1;
-  for (auto sp : suite_points_for(tier)) {
-    sp.point.host_threads = result.host_threads;
-    sp.bt.host_threads = result.host_threads;
-    sp.phase.host_threads = result.host_threads;
-    sp.kv.host_threads = result.host_threads;
-    PointMetrics m = run_point_metrics(sp);
-    m.throughput_ops_per_sec *= opts.plant_throughput_factor;
-    m.sim_ops_per_sec *= opts.plant_simops_factor;
-    if (opts.on_point) opts.on_point(sp, m);
-    result.points.push_back({sp, m});
-  }
-  result.total_wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  return result;
-}
-
-PointRecord run_suite_point(const SuitePoint& sp, int host_threads) {
-  SuitePoint p = sp;
-  p.point.host_threads = host_threads > 0 ? host_threads : 1;
-  p.bt.host_threads = p.point.host_threads;
-  p.phase.host_threads = p.point.host_threads;
-  p.kv.host_threads = p.point.host_threads;
-  PointRecord rec{sp, run_point_metrics(p)};
-  return rec;
+  return {sp, m};
 }
 
 // ---- canonical JSON results ----
@@ -525,96 +665,22 @@ namespace {
 void write_point_json(const PointRecord& r, std::FILE* out) {
   const auto& d = r.def;
   const auto& m = r.metrics;
-  if (d.kind == PointKind::kBtree) {
-    std::fprintf(
-        out,
-        "    {\"id\":\"%s\",\"tier\":\"%s\",\"figure\":\"%s\","
-        "\"kind\":\"%s\",\"lock\":\"%s\",\"scheme\":\"%s\",\"size\":%zu,"
-        "\"update_pct\":%d,\"scan_pct\":%d,\"scan_len\":%zu,\"threads\":%d,"
-        "\"seeds\":%d,\"duration_sec\":%g,\"seed\":%llu,\"telemetry\":%s,\n",
-        support::json::escape(d.id).c_str(), suite_tier_name(d.tier),
-        support::json::escape(d.figure).c_str(), point_kind_name(d.kind),
-        shared_lock_sel_name(d.bt.lock),
-        support::json::escape(d.bt.policy.spec()).c_str(), d.bt.size,
-        d.bt.update_pct, d.bt.scan_pct, d.bt.scan_len, d.bt.threads,
-        d.bt.seeds, d.bt.duration_sec,
-        static_cast<unsigned long long>(d.bt.seed),
-        d.bt.telemetry ? "true" : "false");
-  } else if (d.kind == PointKind::kPhase) {
-    std::fprintf(
-        out,
-        "    {\"id\":\"%s\",\"tier\":\"%s\",\"figure\":\"%s\","
-        "\"kind\":\"%s\",\"lock\":\"%s\",\"scheme\":\"%s\",\"size\":%zu,"
-        "\"calm_update_pct\":%d,\"storm_update_pct\":%d,\"threads\":%d,"
-        "\"seeds\":%d,\"phase_sec\":%g,\"seed\":%llu,\"telemetry\":%s,\n",
-        support::json::escape(d.id).c_str(), suite_tier_name(d.tier),
-        support::json::escape(d.figure).c_str(), point_kind_name(d.kind),
-        lock_sel_name(d.phase.lock),
-        support::json::escape(d.phase.scheme.spec()).c_str(), d.phase.size,
-        d.phase.calm_update_pct, d.phase.storm_update_pct, d.phase.threads,
-        d.phase.seeds, d.phase.phase_sec,
-        static_cast<unsigned long long>(d.phase.seed),
-        d.phase.telemetry ? "true" : "false");
-  } else if (d.kind == PointKind::kKv) {
-    std::fprintf(
-        out,
-        "    {\"id\":\"%s\",\"tier\":\"%s\",\"figure\":\"%s\","
-        "\"kind\":\"%s\",\"scheme\":\"%s\",\"shards\":%d,\"keys\":%zu,"
-        "\"clients\":%d,\"client_rate_hz\":%g,\"zipf_theta\":%g,"
-        "\"put_pct\":%d,\"multi_put_pct\":%d,\"transfer_pct\":%d,"
-        "\"multi_put_keys\":%d,\"threads\":%d,\"seeds\":%d,"
-        "\"duration_sec\":%g,\"seed\":%llu,\"telemetry\":%s,\n",
-        support::json::escape(d.id).c_str(), suite_tier_name(d.tier),
-        support::json::escape(d.figure).c_str(), point_kind_name(d.kind),
-        support::json::escape(d.kv.policy.spec()).c_str(), d.kv.shards,
-        d.kv.keys, d.kv.clients, d.kv.client_rate_hz, d.kv.zipf_theta,
-        d.kv.put_pct, d.kv.multi_put_pct, d.kv.transfer_pct,
-        d.kv.multi_put_keys, d.kv.threads, d.kv.seeds, d.kv.duration_sec,
-        static_cast<unsigned long long>(d.kv.seed),
-        d.kv.telemetry ? "true" : "false");
-  } else {
-    std::fprintf(
-        out,
-        "    {\"id\":\"%s\",\"tier\":\"%s\",\"figure\":\"%s\","
-        "\"kind\":\"%s\",\"lock\":\"%s\",\"scheme\":\"%s\",\"size\":%zu,"
-        "\"update_pct\":%d,\"threads\":%d,\"seeds\":%d,\"duration_sec\":%g,"
-        "\"seed\":%llu,\"telemetry\":%s,\n",
-        support::json::escape(d.id).c_str(), suite_tier_name(d.tier),
-        support::json::escape(d.figure).c_str(), point_kind_name(d.kind),
-        lock_sel_name(d.point.lock),
-        support::json::escape(d.point.scheme.spec()).c_str(), d.point.size,
-        d.point.update_pct, d.point.threads, d.point.seeds,
-        d.point.duration_sec,
-        static_cast<unsigned long long>(d.point.seed),
-        d.point.telemetry ? "true" : "false");
-    // Machine-shape / micro-shape overrides of the big-machine points,
-    // emitted only when set: pre-existing baseline lines must stay
-    // byte-identical across this addition.
-    if (d.point.n_cores != 0 || d.point.smt_per_core != 0 ||
-        d.point.yield_slack_cycles != 0 || d.point.micro_ops != 0 ||
-        d.point.micro_shared_period != 0) {
-      std::fprintf(out, "     ");
-      if (d.point.n_cores != 0) {
-        std::fprintf(out, "\"n_cores\":%u,", d.point.n_cores);
-      }
-      if (d.point.smt_per_core != 0) {
-        std::fprintf(out, "\"smt_per_core\":%u,", d.point.smt_per_core);
-      }
-      if (d.point.yield_slack_cycles != 0) {
-        std::fprintf(out, "\"yield_slack_cycles\":%llu,",
-                     static_cast<unsigned long long>(d.point.yield_slack_cycles));
-      }
-      if (d.point.micro_ops != 0) {
-        std::fprintf(out, "\"micro_ops\":%llu,",
-                     static_cast<unsigned long long>(d.point.micro_ops));
-      }
-      if (d.point.micro_shared_period != 0) {
-        std::fprintf(out, "\"micro_shared_period\":%llu,",
-                     static_cast<unsigned long long>(d.point.micro_shared_period));
-      }
-      std::fprintf(out, "\n");
+  std::fprintf(out,
+               "    {\"id\":\"%s\",\"tier\":\"%s\",\"figure\":\"%s\","
+               "\"kind\":\"%s\",",
+               support::json::escape(d.id).c_str(), suite_tier_name(d.tier),
+               support::json::escape(d.figure).c_str(),
+               point_kind_name(d.kind()));
+  std::string overrides;
+  for_each_field(d.spec, [&](const auto& f, const auto& value) {
+    if (!f.nonzero_only) {
+      std::fprintf(out, "%s,", json_member(f.key, value).c_str());
+    } else if (!is_zero(value)) {
+      overrides += json_member(f.key, value) + ",";
     }
-  }
+  });
+  std::fprintf(out, "\n");
+  if (!overrides.empty()) std::fprintf(out, "     %s\n", overrides.c_str());
   std::fprintf(
       out,
       "     \"metrics\":{\"throughput_ops_per_sec\":%.3f,"
@@ -689,16 +755,13 @@ void write_results_json(const SuiteResult& result, std::FILE* out) {
                "\"telemetry_compiled\":%s,"
                "\"machine\":{\"n_cores\":%u,\"smt_per_core\":%u,"
                "\"ghz\":%g},"
-               "\"host\":{\"cores\":%u,\"jobs\":%d,"
-               "\"jobs_mode\":\"%s\",\"host_threads\":%d,"
+               "\"host\":{\"cores\":%u,\"jobs\":%d,\"host_threads\":%d,"
                "\"total_wall_ms\":%.3f}},\n  \"points\":[\n",
                kSuiteSchemaVersion, suite_tier_name(result.tier),
                result.duration_scale,
                result.telemetry_compiled ? "true" : "false", result.n_cores,
                result.smt_per_core, result.ghz, result.host_cores,
-               result.jobs,
-               support::json::escape(result.jobs_mode).c_str(),
-               result.host_threads, result.total_wall_ms);
+               result.jobs, result.host_threads, result.total_wall_ms);
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     write_point_json(result.points[i], out);
     std::fprintf(out, "%s\n", i + 1 < result.points.size() ? "," : "");
@@ -708,19 +771,90 @@ void write_results_json(const SuiteResult& result, std::FILE* out) {
 
 namespace {
 
-LockSel lock_from_name(const std::string& name) {
-  for (const LockSel l : {LockSel::kTtas, LockSel::kMcs, LockSel::kTicketAdj,
-                          LockSel::kClhAdj, LockSel::kTicket, LockSel::kClh}) {
-    if (name == lock_sel_name(l)) return l;
+using support::json::Value;
+
+// Member `key` of `obj` as a number (0 when absent or `obj` is null).
+double num(const Value* obj, const char* key) {
+  const Value* v = obj != nullptr ? obj->find(key) : nullptr;
+  return v != nullptr ? v->as_double() : 0.0;
+}
+std::uint64_t u64(const Value* obj, const char* key) {
+  const Value* v = obj != nullptr ? obj->find(key) : nullptr;
+  return v != nullptr ? v->as_u64() : 0;
+}
+
+PointMetrics parse_metrics(const Value* metrics) {
+  PointMetrics m;
+  m.throughput_ops_per_sec = num(metrics, "throughput_ops_per_sec");
+  m.spec_fraction = num(metrics, "spec_fraction");
+  m.nonspec_fraction = num(metrics, "nonspec_fraction");
+  m.attempts_per_op = num(metrics, "attempts_per_op");
+  m.ops = u64(metrics, "ops");
+  m.attempts = u64(metrics, "attempts");
+  m.elapsed_cycles = u64(metrics, "elapsed_cycles");
+  const Value* tx = metrics->find("tx");
+  m.tx_begins = u64(tx, "begins");
+  m.tx_commits = u64(tx, "commits");
+  m.tx_aborts = u64(tx, "aborts");
+  const auto n_causes = static_cast<std::size_t>(tsx::AbortCause::kCauseCount);
+  m.aborts_by_cause.assign(n_causes, 0);
+  const Value* causes = metrics->find("aborts_by_cause");
+  for (std::size_t c = 0; c < n_causes; ++c) {
+    m.aborts_by_cause[c] =
+        u64(causes, tsx::to_string(static_cast<tsx::AbortCause>(c)));
   }
-  return LockSel::kTtas;
+  m.avalanche_episodes = u64(metrics, "avalanche_episodes");
+  m.avalanche_victims = u64(metrics, "avalanche_victims");
+  if (const Value* v = metrics->find("phase_ops")) {
+    for (const Value& item : v->items()) m.phase_ops.push_back(item.as_u64());
+  }
+  if (const Value* lat = metrics->find("latency")) {
+    for (const auto& mem : lat->members()) {
+      const Value* l = &mem.value;
+      m.latency.push_back({mem.key, u64(l, "samples"), u64(l, "p50_cycles"),
+                           u64(l, "p99_cycles"), u64(l, "p999_cycles"),
+                           u64(l, "max_cycles")});
+    }
+  }
+  const Value* fp = metrics->find("fastpath");
+  m.fp_owned_hits = u64(fp, "owned_hits");
+  m.fp_probe_skips = u64(fp, "probe_skips");
+  m.fp_bound_recomputes = u64(fp, "bound_recomputes");
+  m.sim_ops_per_sec = num(metrics, "sim_ops_per_sec");
+  m.wall_ms = num(metrics, "wall_ms");
+  return m;
+}
+
+std::optional<PointRecord> parse_point(const Value& p) {
+  const Value* id = p.find("id");
+  const Value* metrics = p.find("metrics");
+  if (!p.is_object() || id == nullptr || metrics == nullptr ||
+      !metrics->is_object()) {
+    return std::nullopt;
+  }
+  PointRecord rec;
+  rec.def.id = id->as_string();
+  if (const Value* tier = p.find("tier")) {
+    const auto t = suite_tier_from_name(tier->as_string());
+    if (!t) return std::nullopt;
+    rec.def.tier = *t;
+  }
+  if (const Value* fig = p.find("figure")) rec.def.figure = fig->as_string();
+  if (const Value* kind = p.find("kind")) {
+    if (!emplace_kind(rec.def.spec, kind->as_string())) return std::nullopt;
+  }
+  bool ok = true;
+  for_each_field(rec.def.spec, [&](const auto& f, auto& value) {
+    if (const Value* v = p.find(f.key)) ok = read(*v, value) && ok;
+  });
+  if (!ok) return std::nullopt;
+  rec.metrics = parse_metrics(metrics);
+  return rec;
 }
 
 }  // namespace
 
-std::optional<SuiteResult> parse_results_json(
-    const support::json::Value& doc) {
-  using support::json::Value;
+std::optional<SuiteResult> parse_results_json(const Value& doc) {
   if (!doc.is_object()) return std::nullopt;
   const Value* version = doc.find("schema_version");
   if (version == nullptr ||
@@ -734,277 +868,34 @@ std::optional<SuiteResult> parse_results_json(
     out.tier = *t;
   }
   if (const Value* run = doc.find("run")) {
-    out.duration_scale = run->find("duration_scale") != nullptr
-                             ? run->find("duration_scale")->as_double(1.0)
-                             : 1.0;
+    if (const Value* v = run->find("duration_scale")) {
+      out.duration_scale = v->as_double(1.0);
+    }
     if (const Value* tc = run->find("telemetry_compiled")) {
       out.telemetry_compiled = tc->as_bool();
     }
-    if (const Value* machine = run->find("machine")) {
-      if (const Value* v = machine->find("n_cores")) {
-        out.n_cores = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = machine->find("smt_per_core")) {
-        out.smt_per_core = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = machine->find("ghz")) out.ghz = v->as_double();
-    }
+    const Value* machine = run->find("machine");
+    out.n_cores = static_cast<unsigned>(u64(machine, "n_cores"));
+    out.smt_per_core = static_cast<unsigned>(u64(machine, "smt_per_core"));
+    out.ghz = num(machine, "ghz");
+    // Documents from before a host field existed parse with its default.
     if (const Value* host = run->find("host")) {
-      if (const Value* v = host->find("cores")) {
-        out.host_cores = static_cast<unsigned>(v->as_u64());
-      }
+      out.host_cores = static_cast<unsigned>(u64(host, "cores"));
       if (const Value* v = host->find("jobs")) {
         out.jobs = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = host->find("jobs_mode")) {
-        out.jobs_mode = v->as_string();
       }
       if (const Value* v = host->find("host_threads")) {
         out.host_threads = static_cast<int>(v->as_u64());
       }
-      if (const Value* v = host->find("total_wall_ms")) {
-        out.total_wall_ms = v->as_double();
-      }
+      out.total_wall_ms = num(host, "total_wall_ms");
     }
   }
   const Value* points = doc.find("points");
   if (points == nullptr || !points->is_array()) return std::nullopt;
   for (const Value& p : points->items()) {
-    if (!p.is_object()) return std::nullopt;
-    const Value* id = p.find("id");
-    const Value* metrics = p.find("metrics");
-    if (id == nullptr || metrics == nullptr || !metrics->is_object()) {
-      return std::nullopt;
-    }
-    PointRecord rec;
-    rec.def.id = id->as_string();
-    if (const Value* tier = p.find("tier")) {
-      if (const auto t = suite_tier_from_name(tier->as_string())) {
-        rec.def.tier = *t;
-      }
-    }
-    if (const Value* fig = p.find("figure")) rec.def.figure = fig->as_string();
-    if (const Value* v = p.find("kind")) {
-      rec.def.kind = v->as_string() == "micro"   ? PointKind::kMicro
-                     : v->as_string() == "btree" ? PointKind::kBtree
-                     : v->as_string() == "phase" ? PointKind::kPhase
-                     : v->as_string() == "kv"    ? PointKind::kKv
-                                                 : PointKind::kRb;
-    }
-    if (rec.def.kind == PointKind::kPhase) {
-      if (const Value* v = p.find("lock")) {
-        rec.def.phase.lock = lock_from_name(v->as_string());
-      }
-      if (const Value* v = p.find("scheme")) {
-        if (const auto pol = locks::ElisionPolicy::parse(v->as_string())) {
-          rec.def.phase.scheme = *pol;
-        }
-      }
-      if (const Value* v = p.find("size")) {
-        rec.def.phase.size = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("calm_update_pct")) {
-        rec.def.phase.calm_update_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("storm_update_pct")) {
-        rec.def.phase.storm_update_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("threads")) {
-        rec.def.phase.threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("seeds")) {
-        rec.def.phase.seeds = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("phase_sec")) {
-        rec.def.phase.phase_sec = v->as_double();
-      }
-      if (const Value* v = p.find("telemetry")) {
-        rec.def.phase.telemetry = v->as_bool();
-      }
-    } else if (rec.def.kind == PointKind::kBtree) {
-      if (const Value* v = p.find("lock")) {
-        rec.def.bt.lock = v->as_string() == "shared-mcs"
-                              ? SharedLockSel::kSharedMcs
-                              : SharedLockSel::kSharedTtas;
-      }
-      if (const Value* v = p.find("scheme")) {
-        if (const auto pol = locks::ElisionPolicy::parse(v->as_string())) {
-          rec.def.bt.policy = *pol;
-        }
-      }
-      if (const Value* v = p.find("size")) {
-        rec.def.bt.size = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("update_pct")) {
-        rec.def.bt.update_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("scan_pct")) {
-        rec.def.bt.scan_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("scan_len")) {
-        rec.def.bt.scan_len = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("threads")) {
-        rec.def.bt.threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("seeds")) {
-        rec.def.bt.seeds = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("telemetry")) {
-        rec.def.bt.telemetry = v->as_bool();
-      }
-    } else if (rec.def.kind == PointKind::kKv) {
-      if (const Value* v = p.find("scheme")) {
-        if (const auto pol = locks::ElisionPolicy::parse(v->as_string())) {
-          rec.def.kv.policy = *pol;
-        }
-      }
-      if (const Value* v = p.find("shards")) {
-        rec.def.kv.shards = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("keys")) {
-        rec.def.kv.keys = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("clients")) {
-        rec.def.kv.clients = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("client_rate_hz")) {
-        rec.def.kv.client_rate_hz = v->as_double();
-      }
-      if (const Value* v = p.find("zipf_theta")) {
-        rec.def.kv.zipf_theta = v->as_double();
-      }
-      if (const Value* v = p.find("put_pct")) {
-        rec.def.kv.put_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("multi_put_pct")) {
-        rec.def.kv.multi_put_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("transfer_pct")) {
-        rec.def.kv.transfer_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("multi_put_keys")) {
-        rec.def.kv.multi_put_keys = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("threads")) {
-        rec.def.kv.threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("seeds")) {
-        rec.def.kv.seeds = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("duration_sec")) {
-        rec.def.kv.duration_sec = v->as_double();
-      }
-      if (const Value* v = p.find("telemetry")) {
-        rec.def.kv.telemetry = v->as_bool();
-      }
-    } else {
-      if (const Value* v = p.find("lock")) {
-        rec.def.point.lock = lock_from_name(v->as_string());
-      }
-      if (const Value* v = p.find("size")) {
-        rec.def.point.size = static_cast<std::size_t>(v->as_u64());
-      }
-      if (const Value* v = p.find("update_pct")) {
-        rec.def.point.update_pct = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("threads")) {
-        rec.def.point.threads = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("seeds")) {
-        rec.def.point.seeds = static_cast<int>(v->as_u64());
-      }
-      if (const Value* v = p.find("telemetry")) {
-        rec.def.point.telemetry = v->as_bool();
-      }
-      if (const Value* v = p.find("n_cores")) {
-        rec.def.point.n_cores = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = p.find("smt_per_core")) {
-        rec.def.point.smt_per_core = static_cast<unsigned>(v->as_u64());
-      }
-      if (const Value* v = p.find("yield_slack_cycles")) {
-        rec.def.point.yield_slack_cycles = v->as_u64();
-      }
-      if (const Value* v = p.find("micro_ops")) {
-        rec.def.point.micro_ops = v->as_u64();
-      }
-      if (const Value* v = p.find("micro_shared_period")) {
-        rec.def.point.micro_shared_period = v->as_u64();
-      }
-    }
-    auto& m = rec.metrics;
-    auto num = [&](const char* key, double fallback = 0.0) {
-      const Value* v = metrics->find(key);
-      return v != nullptr ? v->as_double(fallback) : fallback;
-    };
-    m.throughput_ops_per_sec = num("throughput_ops_per_sec");
-    m.spec_fraction = num("spec_fraction");
-    m.nonspec_fraction = num("nonspec_fraction");
-    m.attempts_per_op = num("attempts_per_op");
-    m.ops = static_cast<std::uint64_t>(num("ops"));
-    m.attempts = static_cast<std::uint64_t>(num("attempts"));
-    m.elapsed_cycles = static_cast<std::uint64_t>(num("elapsed_cycles"));
-    if (const Value* tx = metrics->find("tx")) {
-      if (const Value* v = tx->find("begins")) m.tx_begins = v->as_u64();
-      if (const Value* v = tx->find("commits")) m.tx_commits = v->as_u64();
-      if (const Value* v = tx->find("aborts")) m.tx_aborts = v->as_u64();
-    }
-    const auto n_causes =
-        static_cast<std::size_t>(tsx::AbortCause::kCauseCount);
-    m.aborts_by_cause.assign(n_causes, 0);
-    if (const Value* causes = metrics->find("aborts_by_cause")) {
-      for (std::size_t c = 0; c < n_causes; ++c) {
-        const Value* v =
-            causes->find(tsx::to_string(static_cast<tsx::AbortCause>(c)));
-        if (v != nullptr) m.aborts_by_cause[c] = v->as_u64();
-      }
-    }
-    if (const Value* v = metrics->find("avalanche_episodes")) {
-      m.avalanche_episodes = v->as_u64();
-    }
-    if (const Value* v = metrics->find("avalanche_victims")) {
-      m.avalanche_victims = v->as_u64();
-    }
-    if (const Value* v = metrics->find("phase_ops")) {
-      for (const Value& item : v->items()) {
-        m.phase_ops.push_back(item.as_u64());
-      }
-    }
-    if (const Value* lat = metrics->find("latency")) {
-      for (const auto& mem : lat->members()) {
-        PointMetrics::OpLatencySummary s;
-        s.op = mem.key;
-        if (const Value* v = mem.value.find("samples")) {
-          s.samples = v->as_u64();
-        }
-        if (const Value* v = mem.value.find("p50_cycles")) {
-          s.p50_cycles = v->as_u64();
-        }
-        if (const Value* v = mem.value.find("p99_cycles")) {
-          s.p99_cycles = v->as_u64();
-        }
-        if (const Value* v = mem.value.find("p999_cycles")) {
-          s.p999_cycles = v->as_u64();
-        }
-        if (const Value* v = mem.value.find("max_cycles")) {
-          s.max_cycles = v->as_u64();
-        }
-        m.latency.push_back(std::move(s));
-      }
-    }
-    if (const Value* fp = metrics->find("fastpath")) {
-      if (const Value* v = fp->find("owned_hits")) m.fp_owned_hits = v->as_u64();
-      if (const Value* v = fp->find("probe_skips")) {
-        m.fp_probe_skips = v->as_u64();
-      }
-      if (const Value* v = fp->find("bound_recomputes")) {
-        m.fp_bound_recomputes = v->as_u64();
-      }
-    }
-    m.sim_ops_per_sec = num("sim_ops_per_sec");
-    m.wall_ms = num("wall_ms");
-    out.points.push_back(std::move(rec));
+    auto rec = parse_point(p);
+    if (!rec) return std::nullopt;
+    out.points.push_back(std::move(*rec));
   }
   return out;
 }
@@ -1108,15 +999,8 @@ GateReport compare_to_baseline(const SuiteResult& current,
            "baseline"});
     }
 
-    const bool cur_telemetry = cur.def.kind == PointKind::kBtree
-                                   ? cur.def.bt.telemetry
-                               : cur.def.kind == PointKind::kPhase
-                                   ? cur.def.phase.telemetry
-                               : cur.def.kind == PointKind::kKv
-                                   ? cur.def.kv.telemetry
-                                   : cur.def.point.telemetry;
     if (current.telemetry_compiled && baseline.telemetry_compiled &&
-        cur_telemetry &&
+        cur.def.telemetry() &&
         cm.avalanche_episodes != bm.avalanche_episodes) {
       report.notes.push_back(
           "point " + cur.def.id + ": avalanche episodes changed (" +
@@ -1175,145 +1059,94 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
   auto point = [&](const char* id) { return result.find(id); };
   char buf[256];
 
-  // (1) SCM >= plain HLE throughput on the contended MCS point: software
-  // conflict management eliminates the avalanche (Fig 5.2 headline claim).
-  {
-    const char* name = "scm-beats-hle-on-contended-mcs";
-    const auto* hle = point("rb-s64-u20-t8-mcs-hle");
-    const auto* scm = point("rb-s64-u20-t8-mcs-hle-scm");
-    if (hle == nullptr || scm == nullptr) {
+  // The recurring shapes. Point `a` (labelled `a_label` in the detail)
+  // matches or — when `strict` — beats point `b` on throughput.
+  auto beats = [&](const char* name, const char* a_id, const char* a_label,
+                   const char* b_id, const char* b_label, bool strict) {
+    const auto* a = point(a_id);
+    const auto* b = point(b_id);
+    if (a == nullptr || b == nullptr) {
       out.push_back(skipped(name, "required points not in this tier"));
-    } else {
-      const bool ok = scm->metrics.throughput_ops_per_sec >=
-                      hle->metrics.throughput_ops_per_sec;
-      std::snprintf(buf, sizeof buf, "HLE-SCM %.3g ops/s vs HLE %.3g ops/s",
-                    scm->metrics.throughput_ops_per_sec,
-                    hle->metrics.throughput_ops_per_sec);
-      out.push_back({name, ok, false, buf});
+      return;
     }
-  }
-
-  // (2) Same on the contended TTAS point (gains appear under contention).
-  {
-    const char* name = "scm-beats-hle-on-contended-ttas";
-    const auto* hle = point("rb-s64-u20-t8-ttas-hle");
-    const auto* scm = point("rb-s64-u20-t8-ttas-hle-scm");
-    if (hle == nullptr || scm == nullptr) {
-      out.push_back(skipped(name, "required points not in this tier"));
-    } else {
-      const bool ok = scm->metrics.throughput_ops_per_sec >=
-                      hle->metrics.throughput_ops_per_sec;
-      std::snprintf(buf, sizeof buf, "HLE-SCM %.3g ops/s vs HLE %.3g ops/s",
-                    scm->metrics.throughput_ops_per_sec,
-                    hle->metrics.throughput_ops_per_sec);
-      out.push_back({name, ok, false, buf});
-    }
-  }
-
-  // (3) Adjusted ticket/CLH locks commit speculatively when solo (Ch. 6:
-  // the release-store adjustment restores XRELEASE elision).
-  for (const auto& [id, name] :
-       {std::pair{"rb-s64-u20-t1-ticket-adj-hle",
-                  "adjusted-ticket-elides-solo"},
-        std::pair{"rb-s64-u20-t1-clh-adj-hle", "adjusted-clh-elides-solo"}}) {
+    const double at = a->metrics.throughput_ops_per_sec;
+    const double bt = b->metrics.throughput_ops_per_sec;
+    std::snprintf(buf, sizeof buf, "%s %.3g ops/s vs %s %.3g ops/s", a_label,
+                  at, b_label, bt);
+    out.push_back({name, strict ? at > bt : at >= bt, false, buf});
+  };
+  // One point's fraction `metric` is at least `want` (exactly 0 when `want`
+  // is 0).
+  auto fraction = [&](const char* name, const char* id,
+                      double PointMetrics::*metric, const char* label,
+                      double want) {
     const auto* p = point(id);
     if (p == nullptr) {
       out.push_back(skipped(name, "required point not in this tier"));
-    } else {
-      const bool ok = p->metrics.spec_fraction >= 0.9;
-      std::snprintf(buf, sizeof buf, "spec fraction %.4f (want >= 0.9)",
-                    p->metrics.spec_fraction);
-      out.push_back({name, ok, false, buf});
+      return;
     }
-  }
-
-  // (4) The unadjusted ticket lock never elides: its release store does not
-  // restore the lock word, so every speculative attempt aborts.
-  {
-    const char* name = "unadjusted-ticket-serializes";
-    const auto* p = point("rb-s64-u20-t1-ticket-hle");
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
+    const double v = p->metrics.*metric;
+    if (want > 0) {
+      std::snprintf(buf, sizeof buf, "%s %.4f (want >= %g)", label, v, want);
     } else {
-      const bool ok = p->metrics.nonspec_fraction >= 0.99;
-      std::snprintf(buf, sizeof buf, "nonspec fraction %.4f (want >= 0.99)",
-                    p->metrics.nonspec_fraction);
-      out.push_back({name, ok, false, buf});
+      std::snprintf(buf, sizeof buf, "%s %.4f (want 0)", label, v);
     }
-  }
-
-  // (5) The standard scheme never speculates.
-  {
-    const char* name = "standard-is-nonspeculative";
-    const auto* p = point("rb-s64-u20-t8-ttas-standard");
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
-    } else {
-      const bool ok = p->metrics.spec_fraction == 0.0;
-      std::snprintf(buf, sizeof buf, "spec fraction %.4f (want 0)",
-                    p->metrics.spec_fraction);
-      out.push_back({name, ok, false, buf});
-    }
-  }
-
-  // (6) HLE over MCS on a contended small tree exhibits the avalanche
-  // (Fig 3.3); requires telemetry.
-  {
-    const char* name = "hle-mcs-avalanche-detected";
-    const auto* p = point("rb-s64-u20-t8-mcs-hle");
+    out.push_back({name, want > 0 ? v >= want : v == 0.0, false, buf});
+  };
+  // One telemetry point recorded at least one avalanche episode.
+  auto avalanche = [&](const char* name, const char* id) {
+    const auto* p = point(id);
     if (p == nullptr) {
       out.push_back(skipped(name, "required point not in this tier"));
     } else if (!result.telemetry_compiled) {
       out.push_back(skipped(name, "telemetry compiled out"));
     } else {
-      const bool ok = p->metrics.avalanche_episodes >= 1;
-      std::snprintf(buf, sizeof buf, "%llu avalanche episodes (want >= 1)",
-                    static_cast<unsigned long long>(
-                        p->metrics.avalanche_episodes));
-      out.push_back({name, ok, false, buf});
+      std::snprintf(
+          buf, sizeof buf, "%llu avalanche episodes (want >= 1)",
+          static_cast<unsigned long long>(p->metrics.avalanche_episodes));
+      out.push_back({name, p->metrics.avalanche_episodes >= 1, false, buf});
     }
-  }
+  };
+
+  // (1) SCM >= plain HLE throughput on the contended MCS point: software
+  // conflict management eliminates the avalanche (Fig 5.2 headline claim).
+  beats("scm-beats-hle-on-contended-mcs", "rb-s64-u20-t8-mcs-hle-scm",
+        "HLE-SCM", "rb-s64-u20-t8-mcs-hle", "HLE", /*strict=*/false);
+  // (2) Same on the contended TTAS point (gains appear under contention).
+  beats("scm-beats-hle-on-contended-ttas", "rb-s64-u20-t8-ttas-hle-scm",
+        "HLE-SCM", "rb-s64-u20-t8-ttas-hle", "HLE", /*strict=*/false);
+
+  // (3) Adjusted ticket/CLH locks commit speculatively when solo (Ch. 6:
+  // the release-store adjustment restores XRELEASE elision).
+  fraction("adjusted-ticket-elides-solo", "rb-s64-u20-t1-ticket-adj-hle",
+           &PointMetrics::spec_fraction, "spec fraction", 0.9);
+  fraction("adjusted-clh-elides-solo", "rb-s64-u20-t1-clh-adj-hle",
+           &PointMetrics::spec_fraction, "spec fraction", 0.9);
+  // (4) The unadjusted ticket lock never elides: its release store does not
+  // restore the lock word, so every speculative attempt aborts.
+  fraction("unadjusted-ticket-serializes", "rb-s64-u20-t1-ticket-hle",
+           &PointMetrics::nonspec_fraction, "nonspec fraction", 0.99);
+  // (5) The standard scheme never speculates.
+  fraction("standard-is-nonspeculative", "rb-s64-u20-t8-ttas-standard",
+           &PointMetrics::spec_fraction, "spec fraction", 0.0);
+
+  // (6) HLE over MCS on a contended small tree exhibits the avalanche
+  // (Fig 3.3); requires telemetry.
+  avalanche("hle-mcs-avalanche-detected", "rb-s64-u20-t8-mcs-hle");
 
   // (7) Shared-mode elision pays off on the read-mostly B+tree point: with
   // 90% lookups/scans, the `+shared` policy (fallback readers coexist with
   // each other and with the elided crowd) must beat the exclusive-elided
   // equivalent, whose fallback reads serialize through the writer word.
-  {
-    const char* name = "shared-elision-beats-exclusive-read-mostly";
-    const auto* excl = point("bt-s1024-u10-c100-l64-t8-shared-ttas-hle");
-    const auto* shrd =
-        point("bt-s1024-u10-c100-l64-t8-shared-ttas-hle+shared");
-    if (excl == nullptr || shrd == nullptr) {
-      out.push_back(skipped(name, "required points not in this tier"));
-    } else {
-      const bool ok = shrd->metrics.throughput_ops_per_sec >
-                      excl->metrics.throughput_ops_per_sec;
-      std::snprintf(buf, sizeof buf,
-                    "hle+shared %.3g ops/s vs hle %.3g ops/s",
-                    shrd->metrics.throughput_ops_per_sec,
-                    excl->metrics.throughput_ops_per_sec);
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  beats("shared-elision-beats-exclusive-read-mostly",
+        "bt-s1024-u10-c100-l64-t8-shared-ttas-hle+shared", "hle+shared",
+        "bt-s1024-u10-c100-l64-t8-shared-ttas-hle", "hle", /*strict=*/true);
 
   // (8) The writer-heavy B+tree point exhibits the reader avalanche: real
   // writer acquisitions of the reader-writer word abort the subscribed
   // elided-reader crowd, visible as telemetry episodes.
-  {
-    const char* name = "shared-btree-reader-avalanche-detected";
-    const auto* p = point("bt-s128-u80-c30-l16-t8-shared-ttas-hle+shared");
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
-    } else if (!result.telemetry_compiled) {
-      out.push_back(skipped(name, "telemetry compiled out"));
-    } else {
-      const bool ok = p->metrics.avalanche_episodes >= 1;
-      std::snprintf(buf, sizeof buf, "%llu avalanche episodes (want >= 1)",
-                    static_cast<unsigned long long>(
-                        p->metrics.avalanche_episodes));
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  avalanche("shared-btree-reader-avalanche-detected",
+            "bt-s128-u80-c30-l16-t8-shared-ttas-hle+shared");
 
   // (9)+(10) The adaptive-elision headline on the phase-shifting point
   // (docs/adaptive.md): per phase, adaptive must commit at least 90% of the
@@ -1415,7 +1248,7 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
     bool ok = true;
     std::string detail;
     for (const auto& rec : result.points) {
-      if (rec.def.kind != PointKind::kKv) continue;
+      if (rec.def.kind() != PointKind::kKv) continue;
       ++kv_points;
       const auto& lat = rec.metrics.latency;
       if (lat.size() != static_cast<std::size_t>(service::kKvOpKinds)) {
@@ -1451,21 +1284,7 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
   // (12) The hot-shard point (zipf theta 1.2, write-heavy) concentrates
   // enough conflicting traffic on one shard's lock that plain HLE exhibits
   // the avalanche there — the service-scale rendition of Fig 3.3.
-  {
-    const char* name = "kv-hot-shard-avalanche-detected";
-    const auto* p = point("kv-sh8-k8192-z120-u50-t8-hle");
-    if (p == nullptr) {
-      out.push_back(skipped(name, "required point not in this tier"));
-    } else if (!result.telemetry_compiled) {
-      out.push_back(skipped(name, "telemetry compiled out"));
-    } else {
-      const bool ok = p->metrics.avalanche_episodes >= 1;
-      std::snprintf(buf, sizeof buf, "%llu avalanche episodes (want >= 1)",
-                    static_cast<unsigned long long>(
-                        p->metrics.avalanche_episodes));
-      out.push_back({name, ok, false, buf});
-    }
-  }
+  avalanche("kv-hot-shard-avalanche-detected", "kv-sh8-k8192-z120-u50-t8-hle");
 
   // (13) The KV service actually elides: under the moderate-skew service
   // mix the per-shard locks are mostly uncontended, so the HLE point must

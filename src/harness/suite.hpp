@@ -1,6 +1,6 @@
 // Benchmark-suite orchestration: a curated, tiered set of (scheme x lock x
 // workload) points drawn from the figure/table/ablation benches, run through
-// the shared RB-tree workload, with
+// the shared harness and service workloads, with
 //
 //   - canonical machine-readable results (BENCH_results.json) carrying
 //     per-point throughput, spec/nonspec fractions, attempts-per-op, the
@@ -19,9 +19,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "harness/bt_workload.hpp"
@@ -41,31 +41,49 @@ const char* suite_tier_name(SuiteTier t);
 std::optional<SuiteTier> suite_tier_from_name(const std::string& name);
 
 // What workload a suite point runs: the RB-tree benchmark (fixed virtual
-// duration), the B+tree range-scan benchmark over the two-mode locks
-// (harness/bt_workload.hpp), the fixed-work engine microbenchmark
-// (harness/micro_point.hpp) whose sim_ops_per_sec tracks simulator speed
-// itself, the phase-shifting RB-tree benchmark behind the adaptive
-// headline (harness/phase_workload.hpp), or the sharded KV service under
+// duration), the fixed-work engine microbenchmark (harness/micro_point.hpp)
+// whose sim_ops_per_sec tracks simulator speed itself, the B+tree
+// range-scan benchmark over the two-mode locks (harness/bt_workload.hpp),
+// the phase-shifting RB-tree benchmark behind the adaptive headline
+// (harness/phase_workload.hpp), or the sharded KV service under
 // Zipf-skewed open-loop traffic (service/kv_workload.hpp).
 enum class PointKind { kRb, kMicro, kBtree, kPhase, kKv };
 
 const char* point_kind_name(PointKind k);
 
+// A kMicro point's shape, kept in RbPoint's fields so its JSON line reads
+// like an rb line: size = shared-array words, and micro_ops /
+// micro_shared_period override MicroPoint's defaults when non-zero.
+struct MicroShape : RbPoint {};
+
+// One alternative per PointKind, in enum order.
+using PointSpec = std::variant<RbPoint, MicroShape, BtPoint, PhasePoint,
+                               service::KvPoint>;
+
 struct SuitePoint {
   std::string id;      // stable key used for baseline matching
-  SuiteTier tier;      // smoke points are a subset of the full tier
+  SuiteTier tier = SuiteTier::kSmoke;  // smoke is a subset of the full tier
   std::string figure;  // paper figure/table the point reproduces
-  PointKind kind = PointKind::kRb;
-  RbPoint point;       // for kMicro only threads/size/seed are meaningful
-  BtPoint bt;          // kBtree only
-  PhasePoint phase;    // kPhase only
-  service::KvPoint kv; // kKv only
+  PointSpec spec;
+
+  PointKind kind() const { return static_cast<PointKind>(spec.index()); }
+  bool telemetry() const {
+    return std::visit([](const auto& p) { return p.telemetry; }, spec);
+  }
 };
 
 // The curated list, smoke points first. Ids are unique.
 const std::vector<SuitePoint>& suite_points();
 // Points belonging to `tier` (kFull returns everything).
 std::vector<SuitePoint> suite_points_for(SuiteTier tier);
+
+// `bench_suite --list` columns after id/tier/figure/kind, filled from each
+// kind's field table: list_cells() returns one cell per column, joining the
+// fields that share a column with '-' (a phase point's calm-storm mix) and
+// printing '-' for a column the kind has no field for.
+inline constexpr const char* kListColumns[] = {"lock", "scheme", "size",
+                                               "upd%", "thr",    "seeds"};
+std::vector<std::string> list_cells(const SuitePoint& sp);
 
 // Derived, comparable metrics of one completed point. This is the unit the
 // baseline stores and the gate compares.
@@ -137,14 +155,12 @@ struct SuiteResult {
   unsigned n_cores = 0;
   unsigned smt_per_core = 0;
   double ghz = 0.0;
-  // Host-run metadata: physical core count of the machine that produced the
-  // results, the --jobs level used, how those jobs were executed ("fork" =
-  // one child process per point, "threads" = in-process pool), the per-point
-  // multi-seed fan-out width, and the suite's total wall time. Like every
-  // host field, none of this affects the simulated metrics.
+  // Host-run metadata: core count of the machine that produced the results,
+  // the --jobs level used, the per-point multi-seed fan-out width, and the
+  // suite's total wall time. Like every host field, none of this affects
+  // the simulated metrics.
   unsigned host_cores = 0;
   int jobs = 1;
-  std::string jobs_mode = "fork";
   int host_threads = 1;
   double total_wall_ms = 0.0;
   std::vector<PointRecord> points;
@@ -152,27 +168,9 @@ struct SuiteResult {
   const PointRecord* find(const std::string& id) const;
 };
 
-struct SuiteRunOptions {
-  // Multiplies every reported throughput: the planted-regression self-check
-  // hook (scripts/check.sh runs the gate with 0.5 and expects it to fail).
-  double plant_throughput_factor = 1.0;
-  // Same for sim_ops_per_sec: the planted-slowdown self-check proving the
-  // simulator-speed gate fires.
-  double plant_simops_factor = 1.0;
-  // Host threads each point's multi-seed fan-out may use
-  // (RbPoint::host_threads; support/parallel.hpp). Simulated metrics are
-  // byte-identical at any value — only wall_ms / sim_ops_per_sec change.
-  int host_threads = 1;
-  // Progress callback, called after each point completes. May be null.
-  std::function<void(const SuitePoint&, const PointMetrics&)> on_point;
-};
-
-SuiteResult run_suite(SuiteTier tier, const SuiteRunOptions& opts = {});
-
-// Runs a single point (used by bench_suite --point, the per-point child of
-// parallel suite execution, and by the in-process --jobs-mode threads
-// runner), measuring wall_ms / sim_ops_per_sec. `host_threads` seeds the
-// point's multi-seed fan-out width.
+// Runs one point with its multi-seed fan-out `host_threads` wide, measuring
+// wall_ms / sim_ops_per_sec. Points are independent simulations, so any
+// number of these may run concurrently.
 PointRecord run_suite_point(const SuitePoint& sp, int host_threads = 1);
 
 // ---- canonical JSON results ----
@@ -181,7 +179,9 @@ PointRecord run_suite_point(const SuitePoint& sp, int host_threads = 1);
 void write_results_json(const SuiteResult& result, std::FILE* out);
 
 // Parses a document produced by write_results_json (e.g. the committed
-// baseline). Nullopt on schema mismatch or malformed input.
+// baseline). Nullopt on schema mismatch or malformed input. Every point
+// field and metric is read back, so write(parse(write(r))) == write(r)
+// byte for byte.
 std::optional<SuiteResult> parse_results_json(const support::json::Value& doc);
 std::optional<SuiteResult> load_results_file(const std::string& path);
 

@@ -5,9 +5,8 @@
 // per-case ScmParams/SlrParams by hand. ElisionPolicy is one value type that
 // carries the scheme *and* every tuning knob (retry/backoff, SCM retries,
 // SLR attempts, grouped-SCM groups), with named constructors for the six
-// evaluated schemes (Sec. 5.1) and the extra mechanisms. The Scheme enum
-// remains as a thin compatibility alias: ElisionPolicy converts implicitly
-// from it (via from_scheme), so existing callers migrate incrementally.
+// evaluated schemes (Sec. 5.1) and the extra mechanisms. A runtime Scheme
+// value becomes a policy only explicitly, via from_scheme().
 //
 //   CriticalSection<TtasLock> cs(ElisionPolicy::hle_scm(), lock);
 //   auto tuned = ElisionPolicy::hle_scm().with_scm_retries(4);
@@ -119,13 +118,6 @@ struct ElisionPolicy {
   AdaptiveParams adapt;      // kAdaptive controller knobs
 
   ElisionPolicy() = default;
-
-  // Compatibility shim: a bare Scheme converts to the policy the old
-  // switch-based dispatch would have built for it.
-  [[deprecated(
-      "construct via a named constructor (ElisionPolicy::hle_scm()), "
-      "ElisionPolicy::from_scheme(s), or ElisionPolicy::parse(spec)")]]
-  ElisionPolicy(Scheme s) : ElisionPolicy(from_scheme(s)) {}  // NOLINT
 
   // --- named constructors (the paper's six schemes + extras) ---
   static ElisionPolicy standard() { return with(Scheme::kStandard); }

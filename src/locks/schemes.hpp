@@ -1,7 +1,6 @@
 // The uniform critical-section runner over the evaluated locking schemes
 // (Sec. 5.1 Methodology). Scheme selection and tuning travel together in an
-// ElisionPolicy (locks/policy.hpp); the legacy Scheme enum still converts
-// implicitly for existing call sites.
+// ElisionPolicy (locks/policy.hpp).
 #pragma once
 
 #include "locks/adaptive.hpp"

@@ -1,11 +1,13 @@
-// Bench-suite tests: curated point list, canonical JSON round-trip, the
-// regression gate (including a planted regression and coverage loss), the
-// paper-qualitative invariant checks, and the seed-merge regression test
-// for run_rb_point's timeline aggregation.
+// Bench-suite tests: curated point list and its --list cells, the
+// byte-exact canonical JSON round-trip (full registry and the committed
+// baseline), the regression gate (including a planted regression and
+// coverage loss), the paper-qualitative invariant checks, and the
+// seed-merge regression test for run_rb_point's timeline aggregation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <string>
 
@@ -40,9 +42,9 @@ TEST(SuitePoints, MicroEngineCanariesAreRegisteredInSmoke) {
   const SuitePoint* t64 = nullptr;
   int micros = 0;
   for (const auto& sp : smoke) {
-    if (sp.kind != PointKind::kMicro) continue;
+    if (sp.kind() != PointKind::kMicro) continue;
     ++micros;
-    EXPECT_STREQ(point_kind_name(sp.kind), "micro");
+    EXPECT_STREQ(point_kind_name(sp.kind()), "micro");
     if (sp.id == "micro-engine-rtm-t8") t8 = &sp;
     if (sp.id == "micro-engine-rtm-t64") t64 = &sp;
   }
@@ -51,12 +53,36 @@ TEST(SuitePoints, MicroEngineCanariesAreRegisteredInSmoke) {
   ASSERT_NE(t64, nullptr);
   // The t8 canary keeps the seed's machine shape (no overrides emitted, so
   // its baseline line is byte-identical to the pre-ready-queue one).
-  EXPECT_EQ(t8->point.n_cores, 0u);
-  EXPECT_EQ(t8->point.micro_ops, 0u);
+  const auto& t8_shape = std::get<MicroShape>(t8->spec);
+  EXPECT_EQ(t8_shape.n_cores, 0u);
+  EXPECT_EQ(t8_shape.micro_ops, 0u);
   // The t64 canary runs the 32-core / 2-SMT big machine.
-  EXPECT_EQ(t64->point.threads, 64);
-  EXPECT_EQ(t64->point.n_cores, 32u);
-  EXPECT_EQ(t64->point.smt_per_core, 2u);
+  const auto& t64_shape = std::get<MicroShape>(t64->spec);
+  EXPECT_EQ(t64_shape.threads, 64);
+  EXPECT_EQ(t64_shape.n_cores, 32u);
+  EXPECT_EQ(t64_shape.smt_per_core, 2u);
+}
+
+TEST(SuitePoints, ListCellsComeFromTheFieldTable) {
+  // Columns: lock, scheme, size, upd%, thr, seeds.
+  auto cells = [](const char* id) {
+    for (const auto& sp : suite_points()) {
+      if (sp.id == id) return list_cells(sp);
+    }
+    ADD_FAILURE() << "no point " << id;
+    return std::vector<std::string>{};
+  };
+  EXPECT_EQ(cells("bt-s1024-u10-c100-l64-t8-shared-mcs-hle+shared"),
+            (std::vector<std::string>{"shared-mcs", "hle+shared", "1024", "10",
+                                      "8", "2"}));
+  EXPECT_EQ(cells("rb-s64-u20-t8-mcs-hle-scm"),
+            (std::vector<std::string>{"MCS", "hle-scm", "64", "20", "8", "2"}));
+  // Fields sharing a column are joined; kv points have no lock field.
+  EXPECT_EQ(cells("ph-s12-u10-100-t16-ttas-adaptive"),
+            (std::vector<std::string>{"TTAS", "adaptive", "12", "10-100", "16",
+                                      "2"}));
+  EXPECT_EQ(cells("kv-sh8-k8192-z99-u30-t8-hle"),
+            (std::vector<std::string>{"-", "hle", "8192", "20-5-5", "8", "2"}));
 }
 
 // The micro point is the simulator-speed canary: its simulated metrics must
@@ -137,16 +163,18 @@ TEST(RbWorkload, AccumulateChecksGhzAndMergesCounters) {
   EXPECT_DEATH(total.accumulate(other_machine), "different MachineConfig");
 }
 
+// Synthetic metrics over the full registry: every point kind, the machine-
+// and micro-shape overrides, and every optional metric object.
 SuiteResult tiny_result() {
   SuiteResult r;
-  r.tier = SuiteTier::kSmoke;
+  r.tier = SuiteTier::kFull;
   r.duration_scale = 1.0;
   r.telemetry_compiled = true;
   r.n_cores = 4;
   r.smt_per_core = 2;
   r.ghz = 3.4;
   int i = 0;
-  for (const auto& sp : suite_points_for(SuiteTier::kSmoke)) {
+  for (const auto& sp : suite_points_for(SuiteTier::kFull)) {
     PointRecord rec;
     rec.def = sp;
     rec.metrics.throughput_ops_per_sec = 1e7 + 1e6 * i;
@@ -165,6 +193,15 @@ SuiteResult tiny_result() {
         tsx::AbortCause::kConflict)] = 7;
     rec.metrics.avalanche_episodes = 2;
     rec.metrics.avalanche_victims = 9;
+    if (sp.kind() == PointKind::kPhase) rec.metrics.phase_ops = {50, 7, 49};
+    if (sp.kind() == PointKind::kKv) {
+      rec.metrics.latency = {{"get", 10, 100, 200, 300, 400},
+                             {"put", 5, 150, 250, 350, 450}};
+    }
+    if (i % 2 == 1) {
+      rec.metrics.fp_owned_hits = 11;
+      rec.metrics.fp_bound_recomputes = 13;
+    }
     r.points.push_back(std::move(rec));
     ++i;
   }
@@ -182,89 +219,78 @@ std::string to_json_string(const SuiteResult& r) {
   return out;
 }
 
+// Every point field and metric survives parsing: re-emitting a parsed
+// document reproduces it byte for byte.
 TEST(SuiteJson, ResultsRoundTrip) {
-  const SuiteResult orig = tiny_result();
+  SuiteResult orig = tiny_result();
+  orig.host_cores = 16;
+  orig.jobs = 4;
+  orig.host_threads = 3;
+  orig.total_wall_ms = 1234.5;
+  orig.points[0].metrics.sim_ops_per_sec = 5.5e6;
+  orig.points[0].metrics.wall_ms = 42.125;
   const std::string text = to_json_string(orig);
 
   const auto doc = support::json::parse(text);
   ASSERT_TRUE(doc.has_value()) << text;
   const auto parsed = parse_results_json(*doc);
   ASSERT_TRUE(parsed.has_value());
-
-  EXPECT_EQ(parsed->tier, orig.tier);
-  EXPECT_DOUBLE_EQ(parsed->duration_scale, orig.duration_scale);
-  EXPECT_EQ(parsed->telemetry_compiled, orig.telemetry_compiled);
-  EXPECT_EQ(parsed->n_cores, orig.n_cores);
-  EXPECT_DOUBLE_EQ(parsed->ghz, orig.ghz);
-  ASSERT_EQ(parsed->points.size(), orig.points.size());
-  for (std::size_t i = 0; i < orig.points.size(); ++i) {
-    const auto& a = orig.points[i];
-    const auto& b = parsed->points[i];
-    EXPECT_EQ(b.def.id, a.def.id);  // insertion order preserved
-    EXPECT_EQ(b.def.tier, a.def.tier);
-    // Machine-shape / micro-shape overrides survive the round trip (emitted
-    // only when set; the t64 canary in this grid sets all of them).
-    EXPECT_EQ(b.def.point.n_cores, a.def.point.n_cores) << a.def.id;
-    EXPECT_EQ(b.def.point.smt_per_core, a.def.point.smt_per_core) << a.def.id;
-    EXPECT_EQ(b.def.point.yield_slack_cycles, a.def.point.yield_slack_cycles)
-        << a.def.id;
-    EXPECT_EQ(b.def.point.micro_ops, a.def.point.micro_ops) << a.def.id;
-    EXPECT_EQ(b.def.point.micro_shared_period, a.def.point.micro_shared_period)
-        << a.def.id;
-    EXPECT_NEAR(b.metrics.throughput_ops_per_sec,
-                a.metrics.throughput_ops_per_sec, 1.0);
-    EXPECT_NEAR(b.metrics.nonspec_fraction, a.metrics.nonspec_fraction, 1e-6);
-    EXPECT_EQ(b.metrics.ops, a.metrics.ops);
-    EXPECT_EQ(b.metrics.aborts_by_cause[static_cast<std::size_t>(
-                  tsx::AbortCause::kConflict)],
-              7u);
-    EXPECT_EQ(b.metrics.avalanche_episodes, 2u);
-  }
+  ASSERT_EQ(parsed->points.size(), suite_points().size());
+  EXPECT_EQ(to_json_string(*parsed), text);
 }
 
-TEST(SuiteJson, HostMetadataAndSimSpeedRoundTrip) {
-  SuiteResult orig = tiny_result();
-  orig.host_cores = 16;
-  orig.jobs = 4;
-  orig.jobs_mode = "threads";
-  orig.host_threads = 3;
-  orig.total_wall_ms = 1234.5;
-  orig.points[0].metrics.sim_ops_per_sec = 5.5e6;
-  orig.points[0].metrics.wall_ms = 42.125;
+// The committed baseline's points re-emit byte for byte (its run.host line
+// may carry fields this writer no longer emits).
+TEST(SuiteJson, BaselinePointsReEmitByteForByte) {
+  std::FILE* f = std::fopen(ELISION_BASELINE_JSON, "r");
+  ASSERT_NE(f, nullptr) << ELISION_BASELINE_JSON;
+  std::string text;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
+    text.append(buf, n);
+  }
+  std::fclose(f);
+  const auto baseline = load_results_file(ELISION_BASELINE_JSON);
+  ASSERT_TRUE(baseline.has_value());
+  const std::string points_start = "  \"points\":[\n";
+  const std::string again = to_json_string(*baseline);
+  ASSERT_NE(text.find(points_start), std::string::npos);
+  ASSERT_NE(again.find(points_start), std::string::npos);
+  EXPECT_EQ(again.substr(again.find(points_start)),
+            text.substr(text.find(points_start)));
+}
 
-  const auto doc = support::json::parse(to_json_string(orig));
-  ASSERT_TRUE(doc.has_value());
-  const auto parsed = parse_results_json(*doc);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->host_cores, 16u);
-  EXPECT_EQ(parsed->jobs, 4);
-  EXPECT_EQ(parsed->jobs_mode, "threads");
-  EXPECT_EQ(parsed->host_threads, 3);
-  EXPECT_NEAR(parsed->total_wall_ms, 1234.5, 1e-3);
-  EXPECT_NEAR(parsed->points[0].metrics.sim_ops_per_sec, 5.5e6, 1.0);
-  EXPECT_NEAR(parsed->points[0].metrics.wall_ms, 42.125, 1e-3);
-  // Point kinds survive the round trip.
-  for (std::size_t i = 0; i < orig.points.size(); ++i) {
-    EXPECT_EQ(parsed->points[i].def.kind, orig.points[i].def.kind)
-        << orig.points[i].def.id;
+TEST(SuiteJson, RejectsUnknownKindsAndNames) {
+  const std::string text = to_json_string(tiny_result());
+  for (const auto& [from, to] :
+       {std::pair{"\"kind\":\"btree\"", "\"kind\":\"bogus\""},
+        std::pair{"\"lock\":\"MCS\"", "\"lock\":\"bogus\""},
+        std::pair{"\"scheme\":\"hle-scm\"", "\"scheme\":\"bogus\""}}) {
+    std::string bad = text;
+    const auto at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, std::strlen(from), to);
+    const auto doc = support::json::parse(bad);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_FALSE(parse_results_json(*doc).has_value()) << to;
   }
 }
 
 TEST(SuiteJson, HostFieldsDefaultWhenAbsent) {
-  // Documents written before jobs_mode/host_threads existed (e.g. an older
-  // committed baseline) must still parse, with the sequential defaults.
+  // Documents written before host_threads existed must still parse, with
+  // the sequential default.
   SuiteResult orig = tiny_result();
+  orig.host_threads = 4;
   std::string json = to_json_string(orig);
-  const auto cut = json.find("\"jobs_mode\"");
+  const auto cut = json.find("\"host_threads\"");
   ASSERT_NE(cut, std::string::npos);
   const auto end = json.find("\"total_wall_ms\"");
   ASSERT_NE(end, std::string::npos);
-  json.erase(cut, end - cut);  // drop jobs_mode and host_threads keys
+  json.erase(cut, end - cut);  // drop the host_threads key
   const auto doc = support::json::parse(json);
   ASSERT_TRUE(doc.has_value());
   const auto parsed = parse_results_json(*doc);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->jobs_mode, "fork");
   EXPECT_EQ(parsed->host_threads, 1);
 }
 
@@ -392,7 +418,7 @@ TEST(SuiteInvariants, MissingPointsAreSkippedNotFailed) {
 TEST(SuiteRun, PointIsDeterministic) {
   const auto points = suite_points_for(SuiteTier::kSmoke);
   ASSERT_FALSE(points.empty());
-  RbPoint p = points[1].point;  // ttas-hle
+  RbPoint p = std::get<RbPoint>(points[1].spec);  // ttas-hle
   p.duration_sec = 0.0005;
   const PointMetrics a = PointMetrics::derive(run_rb_point(p));
   const PointMetrics b = PointMetrics::derive(run_rb_point(p));

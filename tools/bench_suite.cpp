@@ -2,52 +2,42 @@
 // emit canonical machine-readable results, and optionally gate against a
 // committed baseline.
 //
-//   bench_suite [--tier smoke|full] [--jobs N] [--jobs-mode fork|threads]
+//   bench_suite [--tier smoke|full] [--point ID] [--jobs N]
 //               [--host-threads N] [--out FILE]
 //               [--baseline FILE] [--gate] [--list] [--quiet]
 //               [--plant-regression FACTOR] [--plant-slowdown FACTOR]
 //               [--tol-throughput REL] [--tol-attempts REL]
 //               [--tol-fraction ABS] [--tol-simops REL] [--no-invariants]
 //
-// --jobs N fans the suite's points out N-wide. With --jobs-mode fork (the
-// default) each point runs in an isolated worker subprocess (a
-// self-invocation with --point ID) and the per-point fragments are merged
-// into one canonical document; with --jobs-mode threads the points run on
-// an in-process host-thread pool (support/parallel.hpp) with no
-// subprocesses, temp files, or JSON round-trips. --host-threads N
-// additionally fans each point's multi-seed runs out N-wide (in either
-// mode). Every simulated metric is deterministic per seed, so all of these
-// produce output identical to a sequential run except for the host
-// wall-time fields (wall_ms, sim_ops_per_sec, run.host).
+// The run covers the tier's points, or only the registered point named by
+// --point ID (any tier). --jobs N runs up to N points at once on an
+// in-process host-thread pool (support/parallel.hpp; --jobs 1 runs them
+// inline, one after another), and --host-threads N fans each point's
+// multi-seed runs out N-wide. Every simulated metric is deterministic per
+// seed, so all of these produce output identical to a sequential run except
+// for the host wall-time fields (wall_ms, sim_ops_per_sec, run.host).
 //
 // Exit status: 0 on success; 1 if the gate found a regression or a
-// paper-qualitative invariant is violated; 2 on usage/IO/subprocess errors.
+// paper-qualitative invariant is violated; 2 on usage/IO errors.
 //
 // --plant-regression multiplies every reported throughput before gating and
 // --plant-slowdown every sim_ops_per_sec; scripts/check.sh uses them as
 // self-checks that the gate actually fires.
 // See docs/benchmarks.md for the schema and the baseline-update workflow.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <string>
-#include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ELISION_SUITE_HAS_SUBPROCESS 1
-#include <sys/wait.h>
-#include <unistd.h>
-#else
-#define ELISION_SUITE_HAS_SUBPROCESS 0
-#endif
-
-#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "harness/report.hpp"
 #include "harness/suite.hpp"
+#include "sim/machine_config.hpp"
 #include "support/parallel.hpp"
 #include "support/parse.hpp"
+#include "tsx/telemetry.hpp"
 
 namespace {
 
@@ -57,10 +47,9 @@ struct Options {
   harness::SuiteTier tier = harness::SuiteTier::kSmoke;
   std::string out_file = "BENCH_results.json";
   std::string baseline_file;
-  std::string point_id;  // non-empty: child mode, run one point
+  std::string point_id;  // non-empty: run only this point
   int jobs = 1;
-  std::string jobs_mode = "fork";  // "fork" | "threads"
-  int host_threads = 1;            // per-point multi-seed fan-out width
+  int host_threads = 1;  // per-point multi-seed fan-out width
   bool gate = false;
   bool list = false;
   bool quiet = false;
@@ -75,14 +64,13 @@ struct Options {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  bench_suite [--tier smoke|full] [--jobs N]\n"
-      "              [--jobs-mode fork|threads] [--host-threads N]\n"
-      "              [--out FILE]\n"
+      "  bench_suite [--tier smoke|full] [--point ID] [--jobs N]\n"
+      "              [--host-threads N] [--out FILE]\n"
       "              [--baseline FILE] [--gate] [--list] [--quiet]\n"
       "              [--plant-regression FACTOR] [--plant-slowdown FACTOR]\n"
       "              [--tol-throughput REL] [--tol-attempts REL]\n"
       "              [--tol-fraction ABS] [--tol-simops REL]\n"
-      "              [--no-invariants] [--point ID]\n");
+      "              [--no-invariants]\n");
   std::exit(2);
 }
 
@@ -108,11 +96,6 @@ Options parse(int argc, char** argv) {
       const auto v = support::parse_int(next());
       if (!v || *v < 1) usage("--jobs must be a decimal integer >= 1");
       o.jobs = *v;
-    } else if (a == "--jobs-mode") {
-      o.jobs_mode = next();
-      if (o.jobs_mode != "fork" && o.jobs_mode != "threads") {
-        usage("--jobs-mode must be fork or threads");
-      }
     } else if (a == "--host-threads") {
       const auto v = support::parse_int(next());
       if (!v) usage("--host-threads must be a decimal integer >= 0");
@@ -159,270 +142,82 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-// Metadata shared by every results document this process emits.
-void fill_run_metadata(harness::SuiteResult& r, const Options& o, int jobs) {
+// The points this invocation runs: the tier, or the one --point names.
+std::vector<harness::SuitePoint> selected_points(const Options& o) {
+  if (o.point_id.empty()) return harness::suite_points_for(o.tier);
+  for (const auto& sp : harness::suite_points()) {
+    if (sp.id == o.point_id) return {sp};
+  }
+  std::fprintf(stderr, "bench_suite: unknown point id %s\n",
+               o.point_id.c_str());
+  std::exit(2);
+}
+
+// Runs the points up to o.jobs at a time. Each point is an independent
+// simulation writing only its own record slot, so the document lists them
+// in registry order whatever order they finish in.
+harness::SuiteResult run(const Options& o,
+                         const std::vector<harness::SuitePoint>& pts) {
+  const auto t0 = std::chrono::steady_clock::now();
+  harness::SuiteResult r;
   r.tier = o.tier;
   r.duration_scale = harness::env_duration_scale();
   r.telemetry_compiled = tsx::kTelemetryCompiled;
-  const sim::MachineConfig machine;
+  const sim::MachineConfig machine;  // every point runs the paper's machine
   r.n_cores = machine.n_cores;
   r.smt_per_core = machine.smt_per_core;
   r.ghz = machine.ghz;
   r.host_cores = std::thread::hardware_concurrency();
-  r.jobs = jobs;
-  r.jobs_mode = o.jobs_mode;
+  r.jobs = o.jobs;
   r.host_threads = o.host_threads;
-}
-
-// --point ID: run exactly one registered point and write a single-point
-// results document. This is the worker half of --jobs; it applies no plant
-// factors and checks no invariants (both are whole-suite concerns the
-// parent handles on the merged result).
-int run_child(const Options& o) {
-  for (const auto& sp : harness::suite_points()) {
-    if (sp.id != o.point_id) continue;
-    harness::SuiteResult r;
-    fill_run_metadata(r, o, /*jobs=*/1);
-    const auto t0 = std::chrono::steady_clock::now();
-    r.points.push_back(harness::run_suite_point(sp, o.host_threads));
-    r.total_wall_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    std::FILE* f = std::fopen(o.out_file.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench_suite: cannot open %s\n",
-                   o.out_file.c_str());
-      return 2;
-    }
-    harness::write_results_json(r, f);
-    std::fclose(f);
-    return 0;
-  }
-  std::fprintf(stderr, "bench_suite: unknown point id %s\n",
-               o.point_id.c_str());
-  return 2;
-}
-
-#if ELISION_SUITE_HAS_SUBPROCESS
-
-std::string self_exe_path(const char* argv0) {
-#if defined(__linux__)
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-#endif
-  return argv0;
-}
-
-// Fans the tier's points out to up to `jobs` concurrent self-invocations
-// (one point per child) and merges the fragments in registry order, so the
-// merged document is independent of completion order. Returns 0 on success.
-int run_parallel(const Options& o, const char* argv0,
-                 harness::SuiteResult& out) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<harness::SuitePoint> pts =
-      harness::suite_points_for(o.tier);
-  const std::string exe = self_exe_path(argv0);
-
-  struct Child {
-    pid_t pid = -1;
-    std::size_t point = 0;
-    bool failed = false;
-  };
-  std::vector<std::string> frags(pts.size());
-  std::vector<Child> running;
-  std::size_t next = 0;
-  bool any_failed = false;
-
-  auto reap_one = [&]() {
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, 0);
-    for (auto it = running.begin(); it != running.end(); ++it) {
-      if (it->pid != pid) continue;
-      const bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      if (!ok) {
-        std::fprintf(stderr, "bench_suite: worker for %s failed (status %d)\n",
-                     pts[it->point].id.c_str(),
-                     WIFEXITED(status) ? WEXITSTATUS(status) : -1);
-        any_failed = true;
-      }
-      running.erase(it);
-      return;
-    }
-  };
-
-  const int jobs = std::min<int>(o.jobs, static_cast<int>(pts.size()));
-  while (next < pts.size() || !running.empty()) {
-    while (next < pts.size() && static_cast<int>(running.size()) < jobs) {
-      frags[next] = o.out_file + ".point" + std::to_string(next) + ".tmp";
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        std::fprintf(stderr, "bench_suite: fork failed\n");
-        return 2;
-      }
-      if (pid == 0) {
-        const std::string ht = std::to_string(o.host_threads);
-        ::execl(exe.c_str(), exe.c_str(), "--point", pts[next].id.c_str(),
-                "--tier", harness::suite_tier_name(o.tier), "--out",
-                frags[next].c_str(), "--host-threads", ht.c_str(), "--quiet",
-                static_cast<char*>(nullptr));
-        std::fprintf(stderr, "bench_suite: exec %s failed\n", exe.c_str());
-        std::_Exit(2);
-      }
-      running.push_back({pid, next, false});
-      ++next;
-    }
-    if (!running.empty()) reap_one();
-  }
-  if (any_failed) return 2;
-
-  fill_run_metadata(out, o, o.jobs);
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const auto frag = harness::load_results_file(frags[i]);
-    if (!frag || frag->points.size() != 1 ||
-        frag->points[0].def.id != pts[i].id) {
-      std::fprintf(stderr, "bench_suite: bad fragment %s\n",
-                   frags[i].c_str());
-      return 2;
-    }
-    // Keep the registry's point definition (the fragment's survives a JSON
-    // round-trip, but the registry is the source of truth) and the child's
-    // measured metrics.
-    out.points.push_back({pts[i], frag->points[0].metrics});
-    std::remove(frags[i].c_str());
-  }
-  out.total_wall_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-  return 0;
-}
-
-#endif  // ELISION_SUITE_HAS_SUBPROCESS
-
-// --jobs-mode threads: run the tier's points on an in-process host-thread
-// pool — no subprocesses, temp-file fragments, or JSON round-trips. Each
-// point is an independent simulation writing only its own record slot;
-// records are merged in registry order, so the document matches a
-// sequential run except for host wall-time fields.
-int run_in_process(const Options& o, harness::SuiteResult& out) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<harness::SuitePoint> pts =
-      harness::suite_points_for(o.tier);
-  std::vector<harness::PointRecord> recs(pts.size());
+  r.points.resize(pts.size());
   support::parallel_for_each(
       pts.size(),
       [&](std::size_t i) {
-        recs[i] = harness::run_suite_point(pts[i], o.host_threads);
+        r.points[i] = harness::run_suite_point(pts[i], o.host_threads);
+        if (!o.quiet) std::fprintf(stderr, "ran %s\n", pts[i].id.c_str());
       },
       o.jobs);
-  fill_run_metadata(out, o, o.jobs);
-  for (auto& rec : recs) out.points.push_back(std::move(rec));
-  out.total_wall_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-  return 0;
+  r.total_wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  return r;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options o = parse(argc, argv);
+  const Options o = parse(argc, argv);
 
   if (o.list) {
-    harness::Table table({"id", "tier", "figure", "kind", "lock", "scheme",
-                          "size", "upd%", "thr", "seeds"});
+    std::vector<std::string> header = {"id", "tier", "figure", "kind"};
+    header.insert(header.end(), std::begin(harness::kListColumns),
+                  std::end(harness::kListColumns));
+    harness::Table table(header);
     for (const auto& sp : harness::suite_points_for(o.tier)) {
-      const bool rb = sp.kind == harness::PointKind::kRb;
-      const bool ph = sp.kind == harness::PointKind::kPhase;
-      const bool kv = sp.kind == harness::PointKind::kKv;
-      // Phase points show their calm/storm mix as "calm-storm"; kv points
-      // show the total update share (put + multi_put + transfer).
-      const std::string upd =
-          rb   ? std::to_string(sp.point.update_pct)
-          : ph ? std::to_string(sp.phase.calm_update_pct) + "-" +
-                     std::to_string(sp.phase.storm_update_pct)
-          : kv ? std::to_string(sp.kv.put_pct + sp.kv.multi_put_pct +
-                                sp.kv.transfer_pct)
-               : "-";
-      table.add_row(
-          {sp.id, harness::suite_tier_name(sp.tier), sp.figure,
-           harness::point_kind_name(sp.kind),
-           rb   ? harness::lock_sel_name(sp.point.lock)
-           : ph ? harness::lock_sel_name(sp.phase.lock)
-           : kv ? "ttas"
-                : "-",
-           rb   ? sp.point.scheme.name()
-           : ph ? sp.phase.scheme.name()
-           : kv ? sp.kv.policy.name()
-                : "-",
-           harness::fmt_int(ph   ? sp.phase.size
-                            : kv ? sp.kv.keys
-                                 : sp.point.size),
-           upd,
-           std::to_string(ph   ? sp.phase.threads
-                          : kv ? sp.kv.threads
-                               : sp.point.threads),
-           std::to_string(ph   ? sp.phase.seeds
-                          : kv ? sp.kv.seeds
-                               : sp.point.seeds)});
+      std::vector<std::string> row = {sp.id, harness::suite_tier_name(sp.tier),
+                                      sp.figure,
+                                      harness::point_kind_name(sp.kind())};
+      for (auto& cell : harness::list_cells(sp)) row.push_back(cell);
+      table.add_row(row);
     }
     table.print();
     return 0;
   }
 
-  if (!o.point_id.empty()) return run_child(o);
+  harness::SuiteResult result = run(o, selected_points(o));
 
-#if !ELISION_SUITE_HAS_SUBPROCESS
-  if (o.jobs > 1 && o.jobs_mode == "fork") {
-    std::fprintf(stderr,
-                 "bench_suite: --jobs-mode fork needs fork/exec; "
-                 "running sequentially\n");
-    o.jobs = 1;
-  }
-#endif
-
+  // Plant factors apply to the finished result, so every --jobs level
+  // transforms identical inputs identically.
   harness::Table progress({"id", "Mops/s", "att/op", "nonspec", "episodes"});
-  auto progress_row = [&](const harness::SuitePoint& sp,
-                          const harness::PointMetrics& m) {
-    std::fprintf(stderr, "ran %s\n", sp.id.c_str());
-    progress.add_row(
-        {sp.id, harness::fmt(m.throughput_ops_per_sec / 1e6, 2),
-         harness::fmt(m.attempts_per_op, 2),
-         harness::fmt(m.nonspec_fraction, 3),
-         harness::fmt_int(m.avalanche_episodes)});
-  };
-
-  harness::SuiteResult result;
-  if (o.jobs_mode == "threads") {
-    const int rc = run_in_process(o, result);
-    if (rc != 0) return rc;
-    // Plant factors are applied on the merged result so sequential and
-    // parallel runs transform identical inputs identically.
-    for (auto& p : result.points) {
-      p.metrics.throughput_ops_per_sec *= o.plant_factor;
-      p.metrics.sim_ops_per_sec *= o.plant_simops;
-      if (!o.quiet) progress_row(p.def, p.metrics);
-    }
-  } else if (o.jobs > 1) {
-#if ELISION_SUITE_HAS_SUBPROCESS
-    const int rc = run_parallel(o, argv[0], result);
-    if (rc != 0) return rc;
-    for (auto& p : result.points) {
-      p.metrics.throughput_ops_per_sec *= o.plant_factor;
-      p.metrics.sim_ops_per_sec *= o.plant_simops;
-      if (!o.quiet) progress_row(p.def, p.metrics);
-    }
-#endif
-  } else {
-    harness::SuiteRunOptions run_opts;
-    run_opts.plant_throughput_factor = o.plant_factor;
-    run_opts.plant_simops_factor = o.plant_simops;
-    run_opts.host_threads = o.host_threads;
-    if (!o.quiet) run_opts.on_point = progress_row;
-    result = harness::run_suite(o.tier, run_opts);
+  for (auto& p : result.points) {
+    p.metrics.throughput_ops_per_sec *= o.plant_factor;
+    p.metrics.sim_ops_per_sec *= o.plant_simops;
+    progress.add_row({p.def.id,
+                      harness::fmt(p.metrics.throughput_ops_per_sec / 1e6, 2),
+                      harness::fmt(p.metrics.attempts_per_op, 2),
+                      harness::fmt(p.metrics.nonspec_fraction, 3),
+                      harness::fmt_int(p.metrics.avalanche_episodes)});
   }
   if (!o.quiet) progress.print();
   if (o.plant_factor != 1.0) {
