@@ -11,49 +11,12 @@
 // adding SCM on top of oldest-wins buys little.
 #include <cstdio>
 
-#include "bench_common.hpp"
-
-namespace {
-
-using namespace elision;
-using namespace elision::bench;
-
-harness::RunStats run_policy(tsx::ConflictPolicy policy, locks::Scheme scheme,
-                             std::size_t size, int update_pct) {
-  ds::RbTree tree(size * 4 + 256);
-  support::Xoshiro256 fill(42);
-  std::size_t filled = 0;
-  while (filled < size) {
-    if (tree.unsafe_insert(fill.next_below(size * 2))) ++filled;
-  }
-  tree.unsafe_distribute_free_lists(8);
-  locks::TtasLock lock;
-  locks::CriticalSection<locks::TtasLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
-  harness::BenchConfig cfg;
-  cfg.duration_scale = harness::env_duration_scale();
-  cfg.tsx.conflict_policy = policy;
-  const int half = update_pct / 2;
-  return harness::run_workload(cfg, [&, half, update_pct](tsx::Ctx& ctx) {
-    auto& rng = ctx.thread().rng();
-    const std::uint64_t key = rng.next_below(size * 2);
-    const auto dice = static_cast<int>(rng.next_below(100));
-    return cs.run(ctx, [&] {
-      if (dice < half) {
-        tree.insert(ctx, key);
-      } else if (dice < update_pct) {
-        tree.erase(ctx, key);
-      } else {
-        tree.contains(ctx, key);
-      }
-    });
-  });
-}
-
-}  // namespace
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   harness::banner("Ablation: conflict policy (requestor-wins vs oldest-wins)",
                   "opt-SLR and opt-SLR-SCM on a contended tree under both "
                   "hardware policies, 8 threads, 50i/50d.\n"
@@ -65,14 +28,23 @@ int main() {
   for (const std::size_t size : {16ULL, 128ULL, 2048ULL}) {
     for (const auto policy : {tsx::ConflictPolicy::kRequestorWins,
                               tsx::ConflictPolicy::kOldestWins}) {
-      for (const auto scheme :
-           {locks::Scheme::kOptSlr, locks::Scheme::kOptSlrScm}) {
-        const auto stats = run_policy(policy, scheme, size, 100);
+      for (const auto& scheme :
+           {locks::ElisionPolicy::opt_slr(),
+            locks::ElisionPolicy::opt_slr_scm()}) {
+        RbPoint p;
+        p.size = size;
+        p.update_pct = 100;
+        p.lock = LockSel::kTtas;
+        p.scheme = scheme;
+        p.duration_sec = 0.002;
+        p.seeds = 1;
+        p.tsx.conflict_policy = policy;
+        const auto stats = run_rb_point(p);
         table.add_row(
             {harness::fmt_int(size),
              policy == tsx::ConflictPolicy::kRequestorWins ? "req-wins"
                                                            : "oldest-wins",
-             locks::scheme_name(scheme),
+             scheme.name(),
              harness::fmt(stats.throughput() / 1e6, 2),
              harness::fmt(stats.attempts_per_op(), 2),
              harness::fmt(stats.nonspec_fraction(), 3)});

@@ -7,44 +7,24 @@
 // the workaround faithfully represents the intended design.
 #include <cstdio>
 
-#include "bench_common.hpp"
-#include "locks/scm.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 namespace {
 
 using namespace elision;
-using namespace elision::bench;
 
 harness::RunStats run_variant(bool nested, std::size_t size, int update_pct) {
-  ds::RbTree tree(size * 4 + 256);
-  support::Xoshiro256 fill(42);
-  std::size_t filled = 0;
-  while (filled < size) {
-    if (tree.unsafe_insert(fill.next_below(size * 2))) ++filled;
-  }
-  tree.unsafe_distribute_free_lists(8);
-  locks::TtasLock main;
-  locks::McsLock aux;
-  harness::BenchConfig cfg;
-  cfg.duration_scale = harness::env_duration_scale();
-  cfg.tsx.allow_hle_in_rtm = nested;  // the hardware capability the design needs
-  const int half = update_pct / 2;
-  return harness::run_workload(cfg, [&, half](tsx::Ctx& ctx) {
-    auto& rng = ctx.thread().rng();
-    const std::uint64_t key = rng.next_below(size * 2);
-    const auto dice = static_cast<int>(rng.next_below(100));
-    locks::ScmParams p;
-    p.nested_hle = nested;
-    return locks::scm_region(ctx, main, aux, p, [&] {
-      if (dice < half) {
-        tree.insert(ctx, key);
-      } else if (dice < 2 * half) {
-        tree.erase(ctx, key);
-      } else {
-        tree.contains(ctx, key);
-      }
-    });
-  });
+  harness::RbPoint p;
+  p.size = size;
+  p.update_pct = update_pct;
+  p.lock = harness::LockSel::kTtas;
+  p.scheme = nested ? locks::ElisionPolicy::hle_scm_nested()
+                    : locks::ElisionPolicy::hle_scm();
+  p.duration_sec = 0.002;
+  p.seeds = 1;
+  p.tsx.allow_hle_in_rtm = nested;  // the hardware capability the design needs
+  return harness::run_rb_point(p);
 }
 
 }  // namespace

@@ -6,50 +6,18 @@
 // (Ch. 8, Dice et al.).
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "ds/rbtree.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 #include "locks/backoff_lock.hpp"
-#include "locks/scm.hpp"
-
-namespace {
-
-using namespace elision;
-using namespace elision::bench;
-
-// RB-tree point under SCM with a given MAX_RETRIES.
-double scm_retries_throughput(int max_retries) {
-  ds::RbTree tree(128 * 4 + 256);
-  support::Xoshiro256 fill(42);
-  std::size_t filled = 0;
-  while (filled < 128) {
-    if (tree.unsafe_insert(fill.next_below(256))) ++filled;
-  }
-  tree.unsafe_distribute_free_lists(8);
-  locks::McsLock main;
-  locks::McsLock aux;
-  harness::BenchConfig cfg;
-  cfg.duration_scale = harness::env_duration_scale();
-  const auto stats = harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-    auto& rng = ctx.thread().rng();
-    const std::uint64_t key = rng.next_below(256);
-    const auto dice = static_cast<int>(rng.next_below(100));
-    locks::ScmParams p;
-    p.max_retries = max_retries;
-    return locks::scm_region(ctx, main, aux, p, [&] {
-      if (dice < 50) {
-        tree.insert(ctx, key);
-      } else {
-        tree.erase(ctx, key);
-      }
-    });
-  });
-  return stats.throughput();
-}
-
-}  // namespace
+#include "locks/mcs_lock.hpp"
+#include "locks/schemes.hpp"
+#include "locks/ttas_lock.hpp"
+#include "support/rng.hpp"
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
 
   harness::banner("Ablation: SCM MAX_RETRIES (Sec 5.1 tuning)",
                   "128-node tree, 50i/50d, 8 threads, MCS main lock.\n"
@@ -58,8 +26,15 @@ int main() {
   {
     harness::Table table({"max-retries", "Mops/s"});
     for (const int r : {0, 1, 2, 5, 10, 20, 50}) {
+      RbPoint p;
+      p.size = 128;
+      p.update_pct = 100;
+      p.lock = LockSel::kMcs;
+      p.scheme = locks::ElisionPolicy::hle_scm().with_scm_retries(r);
+      p.duration_sec = 0.002;
+      p.seeds = 1;
       table.add_row({harness::fmt_int(r),
-                     harness::fmt(scm_retries_throughput(r) / 1e6, 2)});
+                     harness::fmt(run_rb_point(p).throughput() / 1e6, 2)});
     }
     table.print();
   }
@@ -70,18 +45,15 @@ int main() {
                   "Expect: non-spec fraction grows with the spurious rate.");
   {
     harness::Table table({"spurious-per-begin", "Mops/s", "nonspec-frac"});
+    // Not an RbPoint: this lookup-only loop draws no dice, so each thread
+    // sees a different key stream than RbPoint's 0%-update mix would give.
+    constexpr std::size_t kSize = 2048;
     for (const double p : {0.0, 1e-5, 1e-4, 1e-3, 1e-2}) {
-      RbPoint pt;
-      pt.size = 2048;
-      pt.update_pct = 0;
-      pt.lock = LockSel::kMcs;
-      pt.scheme = locks::ElisionPolicy::hle();
-      // Override the TSX config through a dedicated run.
-      ds::RbTree tree(pt.size * 4 + 256);
+      ds::RbTree tree(kSize * 4 + 256);
       support::Xoshiro256 fill(42);
       std::size_t filled = 0;
-      while (filled < pt.size) {
-        if (tree.unsafe_insert(fill.next_below(pt.size * 2))) ++filled;
+      while (filled < kSize) {
+        if (tree.unsafe_insert(fill.next_below(kSize * 2))) ++filled;
       }
       tree.unsafe_distribute_free_lists(8);
       locks::McsLock lock;
@@ -91,7 +63,7 @@ int main() {
       cfg.tsx.spurious_per_begin = p;
       cfg.tsx.spurious_per_access = p / 50;  // scale both spurious knobs
       const auto stats = harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-        const std::uint64_t key = ctx.thread().rng().next_below(pt.size * 2);
+        const std::uint64_t key = ctx.thread().rng().next_below(kSize * 2);
         return cs.run(ctx, [&] { tree.contains(ctx, key); });
       });
       table.add_row({harness::fmt(p, 5),
@@ -107,6 +79,8 @@ int main() {
                   "Expect: backoff softens the avalanche; SCM removes it.");
   {
     harness::Table table({"lock/scheme", "Mops/s", "att/op", "nonspec"});
+    // Not an RbPoint: BackoffTtasLock is no LockSel, and this loop flips a
+    // coin per op instead of rolling RbPoint's dice.
     auto run_one = [&](const char* name, auto&& runner) {
       ds::RbTree tree(128 * 4 + 256);
       support::Xoshiro256 fill(42);

@@ -8,11 +8,12 @@
 // attempts at high conflict, speculative fraction growing with tree size).
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   harness::banner("Figure 3.1",
                   "Avalanche effect, 8 threads, 10i/10d/80l.\n"
                   "Expect: MCS-HLE ~fully non-speculative with ~2 "

@@ -7,13 +7,14 @@
 // operations complete non-speculatively.
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 namespace {
 
-void timeline_for(elision::bench::LockSel lock) {
+void timeline_for(elision::harness::LockSel lock) {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   RbPoint p;
   p.size = 64;
   p.update_pct = 20;
@@ -60,7 +61,7 @@ int main() {
                   "(size 64, 8 threads, 10i/10d/80l).\n"
                   "Expect: MCS non-spec fraction ~1 in every slot; TTAS "
                   "fluctuating throughput correlated with non-spec bursts.");
-  timeline_for(bench::LockSel::kMcs);
-  timeline_for(bench::LockSel::kTtas);
+  timeline_for(harness::LockSel::kMcs);
+  timeline_for(harness::LockSel::kTtas);
   return 0;
 }

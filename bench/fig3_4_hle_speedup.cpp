@@ -6,11 +6,12 @@
 // mid-size trees); MCS gains nothing (speedup ~1 or below everywhere).
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   harness::banner("Figure 3.4",
                   "HLE speedup vs the standard version of each lock, by "
                   "contention level.\n"

@@ -5,11 +5,12 @@
 // speedups over the standard lock track each other closely.
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   harness::banner("Figure 3.5",
                   "HLE-based vs RTM-based lock elision (8 threads).\n"
                   "Expect: the two mechanisms give comparable speedups "

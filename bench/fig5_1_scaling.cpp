@@ -6,14 +6,16 @@
 // under SCM/SLR.
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "ds/rbtree.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
 // Single thread, no locking at all: the normalization baseline.
 double no_lock_baseline() {
   using namespace elision;
-  using namespace elision::bench;
   ds::RbTree tree(128 * 4 + 256);
   support::Xoshiro256 fill(42);
   std::size_t filled = 0;
@@ -45,7 +47,7 @@ double no_lock_baseline() {
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   harness::banner("Figure 5.1",
                   "Scheme scaling on a 128-node tree, 10i/10d/80l, "
                   "normalized to 1 thread with no locking.\n"
@@ -57,18 +59,18 @@ int main() {
     std::printf("\n-- %s lock --\n", lock_sel_name(lock));
     harness::Table table({"scheme", "1-thread", "2-threads", "4-threads",
                           "8-threads"});
-    for (const auto scheme :
-         {locks::Scheme::kStandard, locks::Scheme::kHle,
-          locks::Scheme::kHleScm, locks::Scheme::kOptSlr,
-          locks::Scheme::kOptSlrScm}) {
-      std::vector<std::string> row{locks::scheme_name(scheme)};
+    for (const auto& policy :
+         {locks::ElisionPolicy::standard(), locks::ElisionPolicy::hle(),
+          locks::ElisionPolicy::hle_scm(), locks::ElisionPolicy::opt_slr(),
+          locks::ElisionPolicy::opt_slr_scm()}) {
+      std::vector<std::string> row{policy.name()};
       for (const int threads : {1, 2, 4, 8}) {
         RbPoint p;
         p.size = 128;
         p.update_pct = 20;
         p.threads = threads;
         p.lock = lock;
-        p.scheme = locks::ElisionPolicy::from_scheme(scheme);
+        p.scheme = policy;
         row.push_back(harness::fmt(run_rb_point(p).throughput() / base, 2));
       }
       table.add_row(std::move(row));

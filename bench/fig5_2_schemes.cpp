@@ -6,11 +6,12 @@
 // pessimistic SLR fails to scale on TTAS.
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   harness::banner("Figure 5.2",
                   "Speedup of HLE-SCM / pes-SLR / opt-SLR / opt-SLR-SCM "
                   "over the plain-HLE lock (8 threads).\n"
@@ -30,10 +31,11 @@ int main() {
         const double hle = run_rb_point(p).throughput();
         std::vector<std::string> row{lock_sel_name(lock),
                                      harness::fmt_int(size)};
-        for (const auto scheme :
-             {locks::Scheme::kHleScm, locks::Scheme::kPesSlr,
-              locks::Scheme::kOptSlr, locks::Scheme::kOptSlrScm}) {
-          p.scheme = locks::ElisionPolicy::from_scheme(scheme);
+        for (const auto& policy :
+             {locks::ElisionPolicy::hle_scm(), locks::ElisionPolicy::pes_slr(),
+              locks::ElisionPolicy::opt_slr(),
+              locks::ElisionPolicy::opt_slr_scm()}) {
+          p.scheme = policy;
           row.push_back(harness::fmt(run_rb_point(p).throughput() / hle, 2));
         }
         table.add_row(std::move(row));

@@ -7,11 +7,12 @@
 // on TTAS, HLE-SCM needs the fewest attempts at the contended end.
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   harness::banner("Figure 5.3",
                   "Impact of aborts under the software-assisted schemes "
                   "(8 threads, 50i/50d).\n"
@@ -52,12 +53,12 @@ int main() {
       p.lock = LockSel::kTtas;
       p.scheme = locks::ElisionPolicy::hle();
       const auto hle = run_rb_point(p);
-      for (const auto scheme :
-           {locks::Scheme::kHleScm, locks::Scheme::kOptSlr,
-            locks::Scheme::kOptSlrScm}) {
-        p.scheme = locks::ElisionPolicy::from_scheme(scheme);
+      for (const auto& policy :
+           {locks::ElisionPolicy::hle_scm(), locks::ElisionPolicy::opt_slr(),
+            locks::ElisionPolicy::opt_slr_scm()}) {
+        p.scheme = policy;
         const auto s = run_rb_point(p);
-        table.add_row({harness::fmt_int(size), locks::scheme_name(scheme),
+        table.add_row({harness::fmt_int(size), policy.name(),
                        harness::fmt(s.attempts_per_op(), 2),
                        harness::fmt(s.nonspec_fraction(), 3),
                        harness::fmt(s.throughput() / hle.throughput(), 2)});

@@ -34,10 +34,9 @@ int main() {
       stamp::StampConfig cfg;
       cfg.lock = lock;
       cfg.scale = 0.25 * scale;
-      cfg.scheme = locks::Scheme::kStandard;
       jobs.push_back({app, cfg});
-      for (const auto scheme : locks::kAllSixSchemes) {
-        cfg.scheme = scheme;
+      for (const auto& policy : locks::kAllSixPolicies) {
+        cfg.policy = policy;
         jobs.push_back({app, cfg});
       }
     }
@@ -53,9 +52,9 @@ int main() {
     // The paper's seven configurations plus the labyrinth extension.
     for (const char* app : stamp::kAllAppNames) {
       const auto& base = results[j++];
-      for (const auto scheme : locks::kAllSixSchemes) {
+      for (const auto& policy : locks::kAllSixPolicies) {
         const auto& r = results[j++];
-        table.add_row({app, locks::scheme_name(scheme),
+        table.add_row({app, policy.name(),
                        harness::fmt(static_cast<double>(r.elapsed_cycles) /
                                     static_cast<double>(base.elapsed_cycles), 3),
                        harness::fmt(r.attempts_per_op(), 2),

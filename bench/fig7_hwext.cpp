@@ -9,11 +9,12 @@
 // any software assistance.
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   harness::banner("Chapter 7 hardware extension",
                   "HLE vs HLE+extension (8 threads).\n"
                   "Expect: the extension reduces attempts/op and the "
@@ -31,9 +32,9 @@ int main() {
         p.update_pct = mix.update_pct;
         p.lock = lock;
         p.scheme = locks::ElisionPolicy::hle();
-        p.hardware_extension = false;
+        p.tsx.hardware_extension = false;
         const auto plain = run_rb_point(p);
-        p.hardware_extension = true;
+        p.tsx.hardware_extension = true;
         const auto ext = run_rb_point(p);
         table.add_row({lock_sel_name(lock), harness::fmt_int(size),
                        harness::fmt(plain.throughput() / 1e6, 2),

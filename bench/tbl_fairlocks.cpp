@@ -5,11 +5,12 @@
 // concurrency while preserving fairness.
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
 
 int main() {
   using namespace elision;
-  using namespace elision::bench;
+  using namespace elision::harness;
   harness::banner("Chapter 6 fair locks",
                   "Ticket/CLH HLE adjustments (8 threads, 10i/10d/80l).\n"
                   "Expect: unadjusted ticket/CLH fully non-speculative "
@@ -27,12 +28,12 @@ int main() {
       p.lock = lock;
       p.scheme = locks::ElisionPolicy::standard();
       const double std_thr = run_rb_point(p).throughput();
-      for (const auto scheme :
-           {locks::Scheme::kHle, locks::Scheme::kHleScm}) {
-        p.scheme = locks::ElisionPolicy::from_scheme(scheme);
+      for (const auto& policy :
+           {locks::ElisionPolicy::hle(), locks::ElisionPolicy::hle_scm()}) {
+        p.scheme = policy;
         const auto stats = run_rb_point(p);
         table.add_row({lock_sel_name(lock), harness::fmt_int(size),
-                       locks::scheme_name(scheme),
+                       policy.name(),
                        harness::fmt(stats.throughput() / std_thr, 2),
                        harness::fmt(stats.attempts_per_op(), 2),
                        harness::fmt(stats.nonspec_fraction(), 3)});

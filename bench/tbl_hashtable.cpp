@@ -4,18 +4,25 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench_common.hpp"
+#include "ds/hashtable.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
+#include "harness/runner.hpp"
+#include "locks/mcs_lock.hpp"
+#include "locks/schemes.hpp"
+#include "locks/ttas_lock.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
 using namespace elision;
-using namespace elision::bench;
+using namespace elision::harness;
 
 template <typename Lock>
-harness::RunStats run_ht(locks::Scheme scheme, std::size_t size,
+harness::RunStats run_ht(locks::ElisionPolicy policy, std::size_t size,
                          int update_pct, ds::HashTable& ht) {
   Lock lock;
-  locks::CriticalSection<Lock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+  locks::CriticalSection<Lock> cs(policy, lock);
   harness::BenchConfig cfg;
   cfg.threads = 8;
   cfg.duration_sec = 0.0015;
@@ -50,7 +57,7 @@ int main() {
   for (const auto& mix : kMixes) {
     for (const std::size_t size : {64ULL, 1024ULL}) {
       for (const bool mcs : {false, true}) {
-        for (const auto scheme : locks::kAllSixSchemes) {
+        for (const auto& policy : locks::kAllSixPolicies) {
           ds::HashTable ht(512, size * 4 + 512);
           support::Xoshiro256 fill(42);
           std::size_t filled = 0;
@@ -58,11 +65,11 @@ int main() {
             if (ht.unsafe_insert(fill.next_below(size * 2), 1)) ++filled;
           }
           const auto stats =
-              mcs ? run_ht<locks::McsLock>(scheme, size, mix.update_pct, ht)
-                  : run_ht<locks::TtasLock>(scheme, size, mix.update_pct, ht);
+              mcs ? run_ht<locks::McsLock>(policy, size, mix.update_pct, ht)
+                  : run_ht<locks::TtasLock>(policy, size, mix.update_pct, ht);
           table.add_row({mix.name, mcs ? "MCS" : "TTAS",
                          harness::fmt_int(size),
-                         locks::scheme_name(scheme),
+                         policy.name(),
                          harness::fmt(stats.throughput() / 1e6, 2),
                          harness::fmt(stats.attempts_per_op(), 2),
                          harness::fmt(stats.nonspec_fraction(), 3)});

@@ -4,19 +4,25 @@
 // conclusions are not an artifact of the tree's write pattern.
 #include <cstdio>
 
-#include "bench_common.hpp"
 #include "ds/skiplist.hpp"
+#include "harness/rb_workload.hpp"
+#include "harness/report.hpp"
+#include "harness/runner.hpp"
+#include "locks/mcs_lock.hpp"
+#include "locks/schemes.hpp"
+#include "locks/ttas_lock.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
 using namespace elision;
-using namespace elision::bench;
+using namespace elision::harness;
 
 template <typename Lock>
-harness::RunStats run_sl(locks::Scheme scheme, std::size_t size,
+harness::RunStats run_sl(locks::ElisionPolicy policy, std::size_t size,
                          int update_pct, ds::SkipList& sl) {
   Lock lock;
-  locks::CriticalSection<Lock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+  locks::CriticalSection<Lock> cs(policy, lock);
   harness::BenchConfig cfg;
   cfg.duration_scale = harness::env_duration_scale();
   const std::uint64_t domain = size * 2;
@@ -48,7 +54,7 @@ int main() {
   for (const auto& mix : kMixes) {
     for (const std::size_t size : {128ULL, 4096ULL}) {
       for (const bool mcs : {false, true}) {
-        for (const auto scheme : locks::kAllSixSchemes) {
+        for (const auto& policy : locks::kAllSixPolicies) {
           ds::SkipList sl(size * 4 + 64);
           support::Xoshiro256 fill(42);
           std::size_t filled = 0;
@@ -57,10 +63,10 @@ int main() {
           }
           sl.unsafe_distribute_free_lists(8);
           const auto stats =
-              mcs ? run_sl<locks::McsLock>(scheme, size, mix.update_pct, sl)
-                  : run_sl<locks::TtasLock>(scheme, size, mix.update_pct, sl);
+              mcs ? run_sl<locks::McsLock>(policy, size, mix.update_pct, sl)
+                  : run_sl<locks::TtasLock>(policy, size, mix.update_pct, sl);
           table.add_row({mix.name, mcs ? "MCS" : "TTAS",
-                         harness::fmt_int(size), locks::scheme_name(scheme),
+                         harness::fmt_int(size), policy.name(),
                          harness::fmt(stats.throughput() / 1e6, 2),
                          harness::fmt(stats.attempts_per_op(), 2),
                          harness::fmt(stats.nonspec_fraction(), 3)});

@@ -98,7 +98,7 @@ int main() {
               "— with zero data conflicts.\n",
               static_cast<unsigned long long>(s),
               static_cast<unsigned long long>(n));
-  std::printf("Run again with Scheme::kHleScm and the serialization "
-              "disappears.\n");
+  std::printf("Run again with ElisionPolicy::hle_scm() and the "
+              "serialization disappears.\n");
   return 0;
 }

@@ -36,10 +36,10 @@ struct Bank {
   }
 };
 
-void run_with_scheme(locks::Scheme scheme) {
+void run_with_policy(locks::ElisionPolicy policy) {
   Bank bank;
   locks::McsLock lock;  // a fair lock, as a real bank would want
-  locks::CriticalSection<locks::McsLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+  locks::CriticalSection<locks::McsLock> cs(policy, lock);
 
   harness::BenchConfig cfg;
   cfg.threads = 8;
@@ -62,7 +62,7 @@ void run_with_scheme(locks::Scheme scheme) {
 
   const bool conserved = bank.total() == kAccounts * kInitialBalance;
   std::printf("  %-12s %8.2f Mtransfers/s   non-speculative %5.1f%%   money %s\n",
-              locks::scheme_name(scheme), stats.throughput() / 1e6,
+              policy.name(), stats.throughput() / 1e6,
               100 * stats.nonspec_fraction(),
               conserved ? "conserved" : "LOST — BUG!");
 }
@@ -71,10 +71,10 @@ void run_with_scheme(locks::Scheme scheme) {
 
 int main() {
   std::printf("Bank transfers over one global fair (MCS) lock, 8 threads:\n\n");
-  for (const auto scheme :
-       {locks::Scheme::kStandard, locks::Scheme::kHle,
-        locks::Scheme::kHleScm, locks::Scheme::kOptSlrScm}) {
-    run_with_scheme(scheme);
+  for (const auto& policy :
+       {locks::ElisionPolicy::standard(), locks::ElisionPolicy::hle(),
+        locks::ElisionPolicy::hle_scm(), locks::ElisionPolicy::opt_slr_scm()}) {
+    run_with_policy(policy);
   }
   std::printf(
       "\nPlain HLE on a fair lock collapses to a serial run after the first\n"

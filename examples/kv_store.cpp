@@ -19,8 +19,8 @@ namespace {
 
 class KvStore {
  public:
-  explicit KvStore(locks::Scheme scheme)
-      : index_(1 << 16), values_(4096, 1 << 16), cs_(locks::ElisionPolicy::from_scheme(scheme), lock_) {}
+  explicit KvStore(locks::ElisionPolicy policy)
+      : index_(1 << 16), values_(4096, 1 << 16), cs_(policy, lock_) {}
 
   void put(tsx::Ctx& ctx, std::uint64_t key, std::uint64_t value) {
     cs_.run(ctx, [&] {
@@ -57,8 +57,8 @@ class KvStore {
   locks::CriticalSection<locks::TtasLock> cs_;
 };
 
-void serve(locks::Scheme scheme) {
-  KvStore store(scheme);
+void serve(locks::ElisionPolicy policy) {
+  KvStore store(policy);
   harness::BenchConfig cfg;
   cfg.threads = 8;
   cfg.duration_sec = 0.002;
@@ -81,7 +81,7 @@ void serve(locks::Scheme scheme) {
     return locks::RegionResult{.speculative = true, .attempts = 1};
   });
   std::printf("  %-12s %8.2f Mreq/s   entries %zu   consistent %s\n",
-              locks::scheme_name(scheme), stats.throughput() / 1e6,
+              policy.name(), stats.throughput() / 1e6,
               store.unsafe_size(),
               store.unsafe_consistent() ? "yes" : "NO — BUG!");
 }
@@ -90,10 +90,10 @@ void serve(locks::Scheme scheme) {
 
 int main() {
   std::printf("Mini KV store (tree index + hash values, one lock), 8 threads:\n\n");
-  for (const auto scheme :
-       {locks::Scheme::kStandard, locks::Scheme::kHle,
-        locks::Scheme::kHleScm, locks::Scheme::kOptSlr}) {
-    serve(scheme);
+  for (const auto& policy :
+       {locks::ElisionPolicy::standard(), locks::ElisionPolicy::hle(),
+        locks::ElisionPolicy::hle_scm(), locks::ElisionPolicy::opt_slr()}) {
+    serve(policy);
   }
   return 0;
 }

@@ -17,11 +17,11 @@ using namespace elision;
 
 namespace {
 
-double run_with_scheme(locks::Scheme scheme) {
+double run_with_policy(locks::ElisionPolicy policy) {
   // A shared hash table protected by ONE global TTAS lock.
   ds::HashTable table(256, 4096);
   locks::TtasLock lock;
-  locks::CriticalSection<locks::TtasLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+  locks::CriticalSection<locks::TtasLock> cs(policy, lock);
 
   harness::BenchConfig cfg;
   cfg.threads = 8;             // 8 hyperthreads, like the paper's i7-4770
@@ -34,7 +34,7 @@ double run_with_scheme(locks::Scheme scheme) {
     return cs.run(ctx, [&] { table.upsert_add(ctx, key, 1); });
   });
   std::printf("  %-12s %8.2f Mops/s   attempts/op %.2f   non-speculative %4.1f%%\n",
-              locks::scheme_name(scheme), stats.throughput() / 1e6,
+              policy.name(), stats.throughput() / 1e6,
               stats.attempts_per_op(), 100 * stats.nonspec_fraction());
   return stats.throughput();
 }
@@ -43,9 +43,9 @@ double run_with_scheme(locks::Scheme scheme) {
 
 int main() {
   std::printf("One global lock, 8 threads, same workload:\n\n");
-  const double standard = run_with_scheme(locks::Scheme::kStandard);
-  const double hle = run_with_scheme(locks::Scheme::kHle);
-  const double scm = run_with_scheme(locks::Scheme::kHleScm);
+  const double standard = run_with_policy(locks::ElisionPolicy::standard());
+  const double hle = run_with_policy(locks::ElisionPolicy::hle());
+  const double scm = run_with_policy(locks::ElisionPolicy::hle_scm());
   std::printf(
       "\nHardware lock elision alone:        %.2fx over the plain lock\n"
       "With software conflict management:  %.2fx over the plain lock\n",

@@ -27,16 +27,15 @@ int main(int argc, char** argv) {
     stamp::StampConfig cfg;
     cfg.lock = lock;
     cfg.scale = 0.5;
-    cfg.scheme = locks::Scheme::kStandard;
     const auto base = stamp::run_app(app, cfg);
     std::printf("%s lock (standard run: %.2f simulated ms)\n",
                 stamp::lock_name(lock),
                 1e3 * base.seconds(cfg.machine.ghz));
-    for (const auto scheme : locks::kAllSixSchemes) {
-      cfg.scheme = scheme;
+    for (const auto& policy : locks::kAllSixPolicies) {
+      cfg.policy = policy;
       const auto r = stamp::run_app(app, cfg);
       std::printf("  %-12s normalized time %.3f   attempts/op %.2f   %s\n",
-                  locks::scheme_name(scheme),
+                  policy.name(),
                   static_cast<double>(r.elapsed_cycles) / base.elapsed_cycles,
                   r.attempts_per_op(),
                   r.invariants_ok ? "ok" : "INVARIANTS VIOLATED");

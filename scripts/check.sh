@@ -87,6 +87,10 @@ echo "$out" | grep -q "avalanche episodes" || {
   echo "check: trace_dump produced no telemetry summary" >&2; exit 1; }
 echo "$out" | grep -Eq "[1-9][0-9]* avalanche episodes" || {
   echo "check: no avalanche detected under HLE/MCS" >&2; exit 1; }
+# trace_dump takes the simulator's whole thread range, like elide.
+out=$("$BUILD"/tools/trace_dump --lock mcs --scheme hle --threads 128 --ms 0.1)
+echo "$out" | grep -Eq "[1-9][0-9]* avalanche episodes" || {
+  echo "check: trace_dump --threads 128 recorded no avalanche" >&2; exit 1; }
 
 # Adaptive-controller smoke: an adaptive run over a phase-shifting level of
 # contention must print its decision trace with at least one migration, and
@@ -109,6 +113,19 @@ do
   fi
 done
 echo "adaptive: parser rejects malformed knob values"
+
+# elide stamp carries the whole policy, not just its scheme: a knob must
+# change the run (capping HLE at one speculative attempt bounds attempts/op
+# at 2; zero SCM retries serializes sooner).
+stamp_line() {
+  "$BUILD"/tools/elide stamp intruder --scale 0.25 --scheme "$1" |
+    grep "attempts/op"
+}
+for pair in hle,hle:spec-attempts=1 hle-scm,hle-scm:scm-retries=0; do
+  [ "$(stamp_line "${pair%%,*}")" != "$(stamp_line "${pair#*,}")" ] || {
+    echo "check: elide stamp ignored the knob in ${pair#*,}" >&2; exit 1; }
+done
+echo "elide stamp: policy knobs reach the STAMP critical sections"
 
 metrics=$(mktemp)
 trap 'rm -f "$metrics"' EXIT
@@ -389,6 +406,8 @@ for cli_bad in \
     "elide --size 99999999999999999999999" \
     "trace_dump --window 0" \
     "trace_dump --threads ''" \
+    "trace_dump --threads 257" \
+    "elide stamp intruder --scheme hle+shared" \
     "stress_cli --seeds 1e9junk" \
     "stress_cli --threads 1x" \
     "stress_cli --prob 1.5" \

@@ -4,28 +4,51 @@
 #include <type_traits>
 #include <vector>
 
-#include "support/parallel.hpp"
-
 #include "ds/rbtree.hpp"
 #include "locks/clh_lock.hpp"
 #include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
 #include "locks/ticket_lock.hpp"
 #include "locks/ttas_lock.hpp"
+#include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace elision::harness {
 
+namespace {
+
+struct LockSelNames {
+  LockSel sel;
+  const char* name;
+  const char* slug;
+};
+
+// In LockSel enumerator order.
+constexpr LockSelNames kLockSels[] = {
+    {LockSel::kTtas, locks::TtasLock::kName, "ttas"},
+    {LockSel::kMcs, locks::McsLock::kName, "mcs"},
+    {LockSel::kTicketAdj, locks::TicketLockAdjusted::kName, "ticket-adj"},
+    {LockSel::kClhAdj, locks::ClhLockAdjusted::kName, "clh-adj"},
+    {LockSel::kTicket, locks::TicketLock::kName, "ticket"},
+    {LockSel::kClh, locks::ClhLock::kName, "clh"},
+};
+
+}  // namespace
+
 const char* lock_sel_name(LockSel s) {
-  switch (s) {
-    case LockSel::kTtas: return "TTAS";
-    case LockSel::kMcs: return "MCS";
-    case LockSel::kTicketAdj: return "Ticket-adj";
-    case LockSel::kClhAdj: return "CLH-adj";
-    case LockSel::kTicket: return "Ticket";
-    case LockSel::kClh: return "CLH";
+  return kLockSels[static_cast<int>(s)].name;
+}
+
+const char* lock_sel_slug(LockSel s) {
+  return kLockSels[static_cast<int>(s)].slug;
+}
+
+std::optional<LockSel> parse_lock_sel(std::string_view slug) {
+  for (const auto& l : kLockSels) {
+    if (slug == l.slug) return l.sel;
   }
-  return "?";
+  return std::nullopt;
 }
 
 namespace {
@@ -38,7 +61,7 @@ RunStats run_rb_with_lock(const RbPoint& p, ds::RbTree& tree) {
   cfg.threads = p.threads;
   cfg.duration_sec = p.duration_sec;
   cfg.duration_scale = env_duration_scale();
-  cfg.tsx.hardware_extension = p.hardware_extension;
+  cfg.tsx = p.tsx;
   cfg.machine.seed = p.seed;
   if (p.n_cores != 0) cfg.machine.n_cores = p.n_cores;
   if (p.smt_per_core != 0) cfg.machine.smt_per_core = p.smt_per_core;
@@ -48,6 +71,7 @@ RunStats run_rb_with_lock(const RbPoint& p, ds::RbTree& tree) {
   cfg.timeline_slot_cycles = p.timeline_slot_cycles;
   cfg.policy = p.scheme;
   cfg.telemetry = p.telemetry;
+  cfg.telemetry_sink = p.telemetry_sink;
   cfg.avalanche = p.avalanche;
   const std::uint64_t domain = p.size * 2;
   const int half_updates = p.update_pct / 2;
@@ -65,6 +89,11 @@ RunStats run_rb_with_lock(const RbPoint& p, ds::RbTree& tree) {
       }
     });
   });
+  if (p.adaptive_trace != nullptr) {
+    *p.adaptive_trace = {cs.adaptive().decisions(),
+                         cs.adaptive().decisions_dropped(),
+                         cs.adaptive().mode()};
+  }
   if constexpr (std::is_same_v<Lock, locks::TtasLock>) {
     if (p.arrival_held_frac != nullptr) {
       *p.arrival_held_frac =
@@ -111,6 +140,9 @@ RunStats run_rb_point_once(const RbPoint& p) {
 
 RunStats run_rb_point(const RbPoint& p) {
   const int n = p.seeds > 0 ? p.seeds : 1;
+  ELISION_CHECK_MSG(
+      n == 1 || (p.telemetry_sink == nullptr && p.adaptive_trace == nullptr),
+      "RbPoint telemetry_sink / adaptive_trace need a single-seed point");
   // Each seed is an independent simulation; fan them out across host
   // threads, then merge in seed order — RunStats::accumulate runs over the
   // per-seed slots sequentially, so the result is byte-identical to a

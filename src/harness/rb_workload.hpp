@@ -1,21 +1,39 @@
 // The paper's red-black-tree benchmark as library code: a global-lock-
 // protected tree, random insert/delete/lookup mix, fixed virtual duration,
-// parameterised over (lock, scheme, size, mix, threads). Historically this
-// lived in bench/bench_common.hpp and every figure binary re-instantiated
-// it; it moved into the harness so the bench-suite driver, the figure
-// benches and tests all run the exact same point definitions.
+// parameterised over (lock, scheme, size, mix, threads). The bench-suite
+// driver, the figure and ablation benches, the CLIs (elide, trace_dump) and
+// the shape tests all build and drive the tree through run_rb_point, so they
+// measure one workload definition.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string_view>
+#include <vector>
 
 #include "harness/runner.hpp"
+#include "locks/adaptive.hpp"
 
 namespace elision::harness {
 
 enum class LockSel { kTtas, kMcs, kTicketAdj, kClhAdj, kTicket, kClh };
 
+// Display name ("TTAS", "Ticket-adj"; the lock's kName) and lower-case slug
+// ("ttas", "ticket-adj"; point ids and the CLIs' --lock flag).
 const char* lock_sel_name(LockSel s);
+const char* lock_sel_slug(LockSel s);
+// Inverse of lock_sel_slug; nullopt for an unknown slug.
+std::optional<LockSel> parse_lock_sel(std::string_view slug);
+
+// The adaptive controller's history after a run (Scheme::kAdaptive): the
+// bounded decision trace, the migrations that fell off it, and the mode the
+// run ended in.
+struct AdaptiveTrace {
+  std::vector<locks::AdaptiveDecision> decisions;
+  std::uint64_t dropped = 0;
+  locks::AdaptiveMode final_mode = locks::AdaptiveMode::kHle;
+};
 
 struct RbPoint {
   std::size_t size = 128;
@@ -30,7 +48,9 @@ struct RbPoint {
   // Runs averaged per point (different machine seeds). Avalanche latching
   // is bistable at short windows, so single runs have high variance.
   int seeds = 2;
-  bool hardware_extension = false;
+  // Engine configuration: conflict policy, HLE-in-RTM nesting, the Ch. 7
+  // hardware extension, spurious-abort rates.
+  tsx::TsxConfig tsx;
   std::uint64_t timeline_slot_cycles = 0;
   std::uint64_t seed = 42;
 
@@ -56,6 +76,14 @@ struct RbPoint {
   // Out-param: fraction of TTAS lock arrivals that found the lock held
   // (the boxed series of Fig 3.1). Only filled for LockSel::kTtas.
   double* arrival_held_frac = nullptr;
+
+  // Record into a caller-owned sink instead of a run-local one, so the raw
+  // event stream outlives the run (BenchConfig::telemetry_sink). Implies
+  // `telemetry`; single-seed points only.
+  tsx::Telemetry* telemetry_sink = nullptr;
+  // Out-param: the adaptive controller's decision trace. Single-seed points
+  // only.
+  AdaptiveTrace* adaptive_trace = nullptr;
 };
 
 // Builds the tree (random keys from a domain of 2*size, as in Ch. 3) and

@@ -242,18 +242,6 @@ bool emplace_kind(PointSpec& spec, const std::string& name) {
 
 // ---- the registry ----
 
-const char* lock_slug(LockSel l) {
-  switch (l) {
-    case LockSel::kTtas: return "ttas";
-    case LockSel::kMcs: return "mcs";
-    case LockSel::kTicketAdj: return "ticket-adj";
-    case LockSel::kClhAdj: return "clh-adj";
-    case LockSel::kTicket: return "ticket";
-    case LockSel::kClh: return "clh";
-  }
-  return "?";
-}
-
 // Point ids and the JSON "scheme" field both use the policy's canonical
 // spec spelling (locks/policy.hpp).
 SuitePoint make_point(SuiteTier tier, const char* figure, std::size_t size,
@@ -269,8 +257,8 @@ SuitePoint make_point(SuiteTier tier, const char* figure, std::size_t size,
   p.duration_sec = 0.003;
   p.seeds = threads == 1 ? 1 : 2;
   return {"rb-s" + std::to_string(size) + "-u" + std::to_string(update_pct) +
-              "-t" + std::to_string(threads) + "-" + lock_slug(lock) + "-" +
-              scheme.spec(),
+              "-t" + std::to_string(threads) + "-" + lock_sel_slug(lock) +
+              "-" + scheme.spec(),
           tier, figure, p};
 }
 
@@ -365,7 +353,7 @@ SuitePoint make_phase_point(SuiteTier tier, const char* figure,
   p.seeds = 2;
   return {"ph-s" + std::to_string(size) + "-u" + std::to_string(calm_pct) +
               "-" + std::to_string(storm_pct) + "-t" +
-              std::to_string(threads) + "-" + lock_slug(lock) + "-" +
+              std::to_string(threads) + "-" + lock_sel_slug(lock) + "-" +
               policy.spec(),
           tier, figure, p};
 }

@@ -5,8 +5,9 @@
 // per-case ScmParams/SlrParams by hand. ElisionPolicy is one value type that
 // carries the scheme *and* every tuning knob (retry/backoff, SCM retries,
 // SLR attempts, grouped-SCM groups), with named constructors for the six
-// evaluated schemes (Sec. 5.1) and the extra mechanisms. A runtime Scheme
-// value becomes a policy only explicitly, via from_scheme().
+// evaluated schemes (Sec. 5.1) and the extra mechanisms. Sweeps iterate
+// kAllSixPolicies / kAllPolicies; a bare Scheme never becomes a policy
+// outside this header.
 //
 //   CriticalSection<TtasLock> cs(ElisionPolicy::hle_scm(), lock);
 //   auto tuned = ElisionPolicy::hle_scm().with_scm_retries(4);
@@ -43,8 +44,8 @@ namespace elision::locks {
 // The six evaluated locking schemes (Sec. 5.1 Methodology), plus the extra
 // mechanisms used by specific experiments.
 //
-// Deprecated as a front-end: new code should pass an ElisionPolicy (which
-// a Scheme converts into) so tuning knobs travel with the scheme choice.
+// Not a front-end: code outside src/locks/ passes an ElisionPolicy, so
+// tuning knobs travel with the scheme choice.
 enum class Scheme {
   kStandard,       // (1) plain non-speculative lock
   kHle,            // (2) hardware lock elision
@@ -100,11 +101,6 @@ inline constexpr Scheme kAllSchemes[] = {
     Scheme::kAdaptive,
 };
 
-inline constexpr Scheme kAllSixSchemes[] = {
-    Scheme::kStandard, Scheme::kHle,    Scheme::kHleScm,
-    Scheme::kPesSlr,   Scheme::kOptSlr, Scheme::kOptSlrScm,
-};
-
 struct ElisionPolicy {
   Scheme scheme = Scheme::kStandard;
   // Default access mode of CriticalSection::run(): exclusive, or — for
@@ -120,60 +116,45 @@ struct ElisionPolicy {
   ElisionPolicy() = default;
 
   // --- named constructors (the paper's six schemes + extras) ---
-  static ElisionPolicy standard() { return with(Scheme::kStandard); }
-  static ElisionPolicy hle() { return with(Scheme::kHle); }
-  static ElisionPolicy hle_scm() { return with(Scheme::kHleScm); }
-  static ElisionPolicy hle_scm_nested() {
+  static constexpr ElisionPolicy standard() { return with(Scheme::kStandard); }
+  static constexpr ElisionPolicy hle() { return with(Scheme::kHle); }
+  static constexpr ElisionPolicy hle_scm() { return with(Scheme::kHleScm); }
+  static constexpr ElisionPolicy hle_scm_nested() {
     ElisionPolicy p = with(Scheme::kHleScmNested);
     p.scm.nested_hle = true;
     return p;
   }
-  static ElisionPolicy pes_slr() {
+  static constexpr ElisionPolicy pes_slr() {
     ElisionPolicy p = with(Scheme::kPesSlr);
     p.slr.max_attempts = 1;
     return p;
   }
-  static ElisionPolicy opt_slr() {
+  static constexpr ElisionPolicy opt_slr() {
     ElisionPolicy p = with(Scheme::kOptSlr);
     p.slr.max_attempts = 10;
     return p;
   }
-  static ElisionPolicy opt_slr_scm() {
+  static constexpr ElisionPolicy opt_slr_scm() {
     ElisionPolicy p = with(Scheme::kOptSlrScm);
     p.slr.scm = true;
     return p;
   }
-  static ElisionPolicy rtm_elide() { return with(Scheme::kRtmElide); }
-  static ElisionPolicy hle_grouped_scm() {
+  static constexpr ElisionPolicy rtm_elide() { return with(Scheme::kRtmElide); }
+  static constexpr ElisionPolicy hle_grouped_scm() {
     return with(Scheme::kHleGroupedScm);
   }
   // Online mode controller (locks/adaptive.hpp): migrates each lock between
   // plain HLE, HLE-SCM, grouped SCM and no elision from windowed abort-rate
   // feedback with hysteresis.
-  static ElisionPolicy adaptive() { return with(Scheme::kAdaptive); }
-
-  static ElisionPolicy from_scheme(Scheme s) {
-    switch (s) {
-      case Scheme::kStandard: return standard();
-      case Scheme::kHle: return hle();
-      case Scheme::kHleScm: return hle_scm();
-      case Scheme::kPesSlr: return pes_slr();
-      case Scheme::kOptSlr: return opt_slr();
-      case Scheme::kOptSlrScm: return opt_slr_scm();
-      case Scheme::kRtmElide: return rtm_elide();
-      case Scheme::kHleScmNested: return hle_scm_nested();
-      case Scheme::kHleGroupedScm: return hle_grouped_scm();
-      case Scheme::kAdaptive: return adaptive();
-    }
-    return standard();
-  }
+  static constexpr ElisionPolicy adaptive() { return with(Scheme::kAdaptive); }
 
   const char* name() const { return scheme_name(scheme); }
   const char* slug() const { return scheme_slug(scheme); }
 
   // --- canonical string spec (parse/format round-trip) ---
   // `<scheme>[+shared][:knob=N...]`; knobs are emitted only when they differ
-  // from the scheme's defaults, so from_scheme(s).spec() == scheme_slug(s).
+  // from the scheme's defaults, so a named constructor's spec() is its
+  // scheme_slug().
   // parse(spec()) == *this for any policy built from the named constructors
   // and the fluent knobs below.
   std::string spec() const {
@@ -356,11 +337,43 @@ struct ElisionPolicy {
   }
 
  private:
-  static ElisionPolicy with(Scheme s) {
+  static constexpr ElisionPolicy with(Scheme s) {
     ElisionPolicy p;
     p.scheme = s;
     return p;
   }
+  // The default policy of a scheme (its named constructor).
+  static constexpr ElisionPolicy from_scheme(Scheme s) {
+    switch (s) {
+      case Scheme::kStandard: return standard();
+      case Scheme::kHle: return hle();
+      case Scheme::kHleScm: return hle_scm();
+      case Scheme::kPesSlr: return pes_slr();
+      case Scheme::kOptSlr: return opt_slr();
+      case Scheme::kOptSlrScm: return opt_slr_scm();
+      case Scheme::kRtmElide: return rtm_elide();
+      case Scheme::kHleScmNested: return hle_scm_nested();
+      case Scheme::kHleGroupedScm: return hle_grouped_scm();
+      case Scheme::kAdaptive: return adaptive();
+    }
+    return standard();
+  }
+};
+
+// The paper's six evaluated schemes (Sec. 5.1), in its order.
+inline constexpr ElisionPolicy kAllSixPolicies[] = {
+    ElisionPolicy::standard(), ElisionPolicy::hle(),
+    ElisionPolicy::hle_scm(),  ElisionPolicy::pes_slr(),
+    ElisionPolicy::opt_slr(),  ElisionPolicy::opt_slr_scm(),
+};
+
+// Every scheme's default policy, in Scheme order.
+inline constexpr ElisionPolicy kAllPolicies[] = {
+    ElisionPolicy::standard(),        ElisionPolicy::hle(),
+    ElisionPolicy::hle_scm(),         ElisionPolicy::pes_slr(),
+    ElisionPolicy::opt_slr(),         ElisionPolicy::opt_slr_scm(),
+    ElisionPolicy::rtm_elide(),       ElisionPolicy::hle_scm_nested(),
+    ElisionPolicy::hle_grouped_scm(), ElisionPolicy::adaptive(),
 };
 
 }  // namespace elision::locks

@@ -27,7 +27,8 @@ inline const char* lock_name(LockKind k) {
 
 struct StampConfig {
   int threads = 8;
-  locks::Scheme scheme = locks::Scheme::kStandard;
+  // Exclusive-mode only: the global TTAS/MCS lock has no shared mode.
+  locks::ElisionPolicy policy = locks::ElisionPolicy::standard();
   LockKind lock = LockKind::kTtas;
   sim::MachineConfig machine;
   tsx::TsxConfig tsx;

@@ -57,7 +57,7 @@ StampResult run_intruder(const StampConfig& cfg) {
     using Lock = std::remove_reference_t<decltype(lock)>;
     sim::Scheduler sched(cfg.machine);
     tsx::Engine eng(sched, cfg.tsx);
-    locks::CriticalSection<Lock> cs(locks::ElisionPolicy::from_scheme(cfg.scheme), lock);
+    locks::CriticalSection<Lock> cs(cfg.policy, lock);
     std::vector<OpTally> tallies(cfg.threads);
     std::vector<std::uint64_t> attacks(cfg.threads, 0);
 

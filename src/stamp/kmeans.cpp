@@ -50,7 +50,7 @@ StampResult run_kmeans(const StampConfig& cfg, bool high_contention) {
     using Lock = std::remove_reference_t<decltype(lock)>;
     sim::Scheduler sched(cfg.machine);
     tsx::Engine eng(sched, cfg.tsx);
-    locks::CriticalSection<Lock> cs(locks::ElisionPolicy::from_scheme(cfg.scheme), lock);
+    locks::CriticalSection<Lock> cs(cfg.policy, lock);
     SimBarrier barrier(cfg.threads);
     std::vector<OpTally> tallies(cfg.threads);
 

@@ -50,7 +50,7 @@ StampResult run_labyrinth(const StampConfig& cfg) {
     using Lock = std::remove_reference_t<decltype(lock)>;
     sim::Scheduler sched(cfg.machine);
     tsx::Engine eng(sched, cfg.tsx);
-    locks::CriticalSection<Lock> cs(locks::ElisionPolicy::from_scheme(cfg.scheme), lock);
+    locks::CriticalSection<Lock> cs(cfg.policy, lock);
     std::vector<OpTally> tallies(cfg.threads);
     std::vector<std::uint64_t> routed(cfg.threads, 0);
 

@@ -54,7 +54,7 @@ StampResult run_vacation(const StampConfig& cfg, bool high_contention) {
     using Lock = std::remove_reference_t<decltype(lock)>;
     sim::Scheduler sched(cfg.machine);
     tsx::Engine eng(sched, cfg.tsx);
-    locks::CriticalSection<Lock> cs(locks::ElisionPolicy::from_scheme(cfg.scheme), lock);
+    locks::CriticalSection<Lock> cs(cfg.policy, lock);
     std::vector<OpTally> tallies(cfg.threads);
 
     for (int t = 0; t < cfg.threads; ++t) {

@@ -1,5 +1,6 @@
 #include "stress/stress.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "ds/btree.hpp"
@@ -59,10 +60,8 @@ std::vector<Workload> all_workloads() {
 }
 
 std::vector<locks::ElisionPolicy> all_policies() {
-  std::vector<locks::ElisionPolicy> v;
-  for (const locks::Scheme s : locks::kAllSixSchemes) {
-    v.push_back(locks::ElisionPolicy::from_scheme(s));
-  }
+  std::vector<locks::ElisionPolicy> v(std::begin(locks::kAllSixPolicies),
+                                      std::end(locks::kAllSixPolicies));
   v.push_back(locks::ElisionPolicy::rtm_elide());
   // The mode controller migrates between four of the schemes above
   // mid-run; a short window makes it actually move within a stress case.

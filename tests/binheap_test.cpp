@@ -114,13 +114,13 @@ TEST(BinHeap, AbortRollsBack) {
 
 TEST(BinHeap, ConcurrentMixedOpsKeepHeapValid) {
   // Heavy conflicts by design; the schemes must stay correct.
-  for (const auto scheme :
-       {locks::Scheme::kStandard, locks::Scheme::kHle,
-        locks::Scheme::kHleScm, locks::Scheme::kOptSlr}) {
+  for (const auto& policy :
+       {locks::ElisionPolicy::standard(), locks::ElisionPolicy::hle(),
+        locks::ElisionPolicy::hle_scm(), locks::ElisionPolicy::opt_slr()}) {
     BinHeap heap(4096);
     for (std::uint64_t k = 0; k < 256; ++k) heap.unsafe_push(k * 13 % 997);
     locks::TtasLock lock;
-    locks::CriticalSection<locks::TtasLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+    locks::CriticalSection<locks::TtasLock> cs(policy, lock);
     sim::Scheduler sched(quiet_machine());
     tsx::Engine eng(sched, quiet_tsx());
     std::int64_t net = 0;
@@ -147,7 +147,7 @@ TEST(BinHeap, ConcurrentMixedOpsKeepHeapValid) {
     sched.run();
     std::string why;
     ASSERT_TRUE(heap.unsafe_validate(&why))
-        << why << " under " << locks::scheme_name(scheme);
+        << why << " under " << policy.name();
     EXPECT_EQ(static_cast<std::int64_t>(heap.unsafe_size()), 256 + net);
   }
 }
@@ -156,11 +156,11 @@ TEST(BinHeap, ElisionCannotParallelizeTheHeap) {
   // Every operation writes near the root: true conflicts everywhere. HLE
   // must not collapse below the standard lock, but it cannot beat it much
   // either — there is no concurrency to expose.
-  auto throughput = [&](locks::Scheme scheme) {
+  auto throughput = [&](locks::ElisionPolicy policy) {
     BinHeap heap(1 << 14);
     for (std::uint64_t k = 0; k < 4096; ++k) heap.unsafe_push(k * 31 % 65536);
     locks::TtasLock lock;
-    locks::CriticalSection<locks::TtasLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+    locks::CriticalSection<locks::TtasLock> cs(policy, lock);
     sim::Scheduler sched(quiet_machine());
     tsx::Engine eng(sched, quiet_tsx());
     std::uint64_t ops = 0;
@@ -185,8 +185,8 @@ TEST(BinHeap, ElisionCannotParallelizeTheHeap) {
     sched.run_for(300000);
     return static_cast<double>(ops);
   };
-  const double standard = throughput(locks::Scheme::kStandard);
-  const double scm = throughput(locks::Scheme::kHleScm);
+  const double standard = throughput(locks::ElisionPolicy::standard());
+  const double scm = throughput(locks::ElisionPolicy::hle_scm());
   // SCM serializes gracefully: within 2x of the plain lock in either
   // direction (no crowd speedup, no collapse).
   EXPECT_GT(scm, standard * 0.5);

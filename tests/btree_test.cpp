@@ -201,7 +201,7 @@ TEST(BplusTree, RangeSumWalksTheLeafChain) {
 // ---------------------------------------------------------------------------
 
 struct SweepParam {
-  locks::Scheme scheme;
+  locks::ElisionPolicy policy;
   bool mcs;  // false: Shared-TTAS, true: Shared-MCS
   std::size_t size;
   int update_pct;
@@ -209,7 +209,7 @@ struct SweepParam {
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   const auto& p = info.param;
-  std::string s = locks::scheme_slug(p.scheme);
+  std::string s = p.policy.slug();
   for (auto& c : s) {
     if (c == '-') c = '_';
   }
@@ -239,8 +239,7 @@ TEST_P(BplusTreeConcurrent, InvariantsHoldWithSharedModeReaders) {
 
   auto run_with = [&](auto& lock) {
     using Lock = std::remove_reference_t<decltype(lock)>;
-    locks::CriticalSection<Lock> cs(
-        locks::ElisionPolicy::from_scheme(p.scheme), lock);
+    locks::CriticalSection<Lock> cs(p.policy, lock);
     for (int t = 0; t < 8; ++t) {
       sched.spawn([&](sim::SimThread& st) {
         auto& ctx = eng.context(st);
@@ -292,11 +291,11 @@ TEST_P(BplusTreeConcurrent, InvariantsHoldWithSharedModeReaders) {
 
 std::vector<SweepParam> sweep_params() {
   std::vector<SweepParam> out;
-  for (const auto scheme : locks::kAllSixSchemes) {
+  for (const auto& policy : locks::kAllSixPolicies) {
     for (const bool mcs : {false, true}) {
       for (const std::size_t size : {16ULL, 256ULL}) {
         for (const int update : {20, 100}) {
-          out.push_back({scheme, mcs, size, update});
+          out.push_back({policy, mcs, size, update});
         }
       }
     }

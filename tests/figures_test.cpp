@@ -8,91 +8,73 @@
 #include <memory>
 
 #include "ds/hashtable.hpp"
-#include "ds/rbtree.hpp"
+#include "harness/rb_workload.hpp"
 #include "harness/runner.hpp"
 #include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
-#include "locks/ttas_lock.hpp"
 #include "support/rng.hpp"
 
 namespace elision {
 namespace {
 
-// One tree measurement (default machine/TSX config — spurious aborts on,
-// as in the real experiments).
-template <typename Lock>
-harness::RunStats tree_run(locks::Scheme scheme, std::size_t size,
-                           int update_pct, std::uint64_t seed = 42) {
-  ds::RbTree tree(size * 4 + 256);
-  support::Xoshiro256 fill(seed);
-  std::size_t filled = 0;
-  while (filled < size) {
-    if (tree.unsafe_insert(fill.next_below(size * 2))) ++filled;
-  }
-  tree.unsafe_distribute_free_lists(8);
-  Lock lock;
-  locks::CriticalSection<Lock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
-  harness::BenchConfig cfg;
-  cfg.duration_sec = 0.002;
-  cfg.machine.seed = seed;
-  const int half = update_pct / 2;
-  return harness::run_workload(cfg, [&, half, update_pct](tsx::Ctx& ctx) {
-    auto& rng = ctx.thread().rng();
-    const std::uint64_t key = rng.next_below(size * 2);
-    const auto dice = static_cast<int>(rng.next_below(100));
-    return cs.run(ctx, [&] {
-      if (dice < half) {
-        tree.insert(ctx, key);
-      } else if (dice < update_pct) {
-        tree.erase(ctx, key);
-      } else {
-        tree.contains(ctx, key);
-      }
-    });
-  });
+using harness::LockSel;
+using locks::ElisionPolicy;
+
+// One tree measurement: a single-seed run_rb_point (default machine/TSX
+// config — spurious aborts on, as in the real experiments).
+harness::RunStats tree_run(LockSel lock, ElisionPolicy policy,
+                           std::size_t size, int update_pct) {
+  harness::RbPoint p;
+  p.size = size;
+  p.update_pct = update_pct;
+  p.lock = lock;
+  p.scheme = policy;
+  p.duration_sec = 0.002;
+  p.seeds = 1;
+  return harness::run_rb_point(p);
 }
 
 TEST(Figures, Fig31_McsGoesFullyNonSpeculative) {
-  const auto hle = tree_run<locks::McsLock>(locks::Scheme::kHle, 128, 20);
+  const auto hle = tree_run(LockSel::kMcs, ElisionPolicy::hle(), 128, 20);
   EXPECT_GT(hle.nonspec_fraction(), 0.9);
   EXPECT_NEAR(hle.attempts_per_op(), 2.0, 0.15);
 }
 
 TEST(Figures, Fig31_McsGainsNothingFromHle) {
-  const auto std_ = tree_run<locks::McsLock>(locks::Scheme::kStandard, 128, 20);
-  const auto hle = tree_run<locks::McsLock>(locks::Scheme::kHle, 128, 20);
+  const auto std_ = tree_run(LockSel::kMcs, ElisionPolicy::standard(), 128, 20);
+  const auto hle = tree_run(LockSel::kMcs, ElisionPolicy::hle(), 128, 20);
   EXPECT_NEAR(hle.throughput() / std_.throughput(), 1.0, 0.25);
 }
 
 TEST(Figures, Fig31_TtasRecoversAndGains) {
-  const auto std_ = tree_run<locks::TtasLock>(locks::Scheme::kStandard, 128, 20);
-  const auto hle = tree_run<locks::TtasLock>(locks::Scheme::kHle, 128, 20);
+  const auto std_ =
+      tree_run(LockSel::kTtas, ElisionPolicy::standard(), 128, 20);
+  const auto hle = tree_run(LockSel::kTtas, ElisionPolicy::hle(), 128, 20);
   EXPECT_LT(hle.nonspec_fraction(), 0.5);
   EXPECT_GT(hle.throughput() / std_.throughput(), 1.5);
 }
 
 TEST(Figures, Fig31_TtasConvergesToSpeculativeOnLargeTrees) {
-  const auto hle = tree_run<locks::TtasLock>(locks::Scheme::kHle, 8192, 20);
+  const auto hle = tree_run(LockSel::kTtas, ElisionPolicy::hle(), 8192, 20);
   EXPECT_LT(hle.nonspec_fraction(), 0.1);
   EXPECT_LT(hle.attempts_per_op(), 1.4);
 }
 
 TEST(Figures, Fig52_ScmRescuesTheMcsLock) {
-  const auto hle = tree_run<locks::McsLock>(locks::Scheme::kHle, 512, 20);
-  const auto scm = tree_run<locks::McsLock>(locks::Scheme::kHleScm, 512, 20);
+  const auto hle = tree_run(LockSel::kMcs, ElisionPolicy::hle(), 512, 20);
+  const auto scm = tree_run(LockSel::kMcs, ElisionPolicy::hle_scm(), 512, 20);
   EXPECT_GT(scm.throughput() / hle.throughput(), 1.5);
   EXPECT_LT(scm.nonspec_fraction(), 0.05);
 }
 
 TEST(Figures, Fig52_PessimisticSlrIsPoorOnTtas) {
-  const auto hle = tree_run<locks::TtasLock>(locks::Scheme::kHle, 512, 20);
-  const auto pes = tree_run<locks::TtasLock>(locks::Scheme::kPesSlr, 512, 20);
+  const auto hle = tree_run(LockSel::kTtas, ElisionPolicy::hle(), 512, 20);
+  const auto pes = tree_run(LockSel::kTtas, ElisionPolicy::pes_slr(), 512, 20);
   EXPECT_LT(pes.throughput(), hle.throughput());
 }
 
 TEST(Figures, Fig53_ScmConvergesToOneAttempt) {
-  const auto scm =
-      tree_run<locks::McsLock>(locks::Scheme::kHleScm, 8192, 100);
+  const auto scm = tree_run(LockSel::kMcs, ElisionPolicy::hle_scm(), 8192, 100);
   EXPECT_LT(scm.attempts_per_op(), 1.15);
   EXPECT_LT(scm.nonspec_fraction(), 0.02);
 }
@@ -100,7 +82,7 @@ TEST(Figures, Fig53_ScmConvergesToOneAttempt) {
 TEST(Figures, HashTable_ScmLargeFactorOverHleMcs) {
   // The data-structure headline: a large SCM-over-HLE factor on the
   // short-transaction hash-table workload (paper: up to 10x).
-  auto run = [&](locks::Scheme scheme) {
+  auto run = [&](ElisionPolicy policy) {
     ds::HashTable ht(512, 4096 + 512);
     support::Xoshiro256 fill(42);
     std::size_t filled = 0;
@@ -108,7 +90,7 @@ TEST(Figures, HashTable_ScmLargeFactorOverHleMcs) {
       if (ht.unsafe_insert(fill.next_below(2048), 1)) ++filled;
     }
     locks::McsLock lock;
-    locks::CriticalSection<locks::McsLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+    locks::CriticalSection<locks::McsLock> cs(policy, lock);
     harness::BenchConfig cfg;
     cfg.duration_sec = 0.002;
     return harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
@@ -124,14 +106,15 @@ TEST(Figures, HashTable_ScmLargeFactorOverHleMcs) {
       });
     });
   };
-  const auto hle = run(locks::Scheme::kHle);
-  const auto scm = run(locks::Scheme::kHleScm);
+  const auto hle = run(ElisionPolicy::hle());
+  const auto scm = run(ElisionPolicy::hle_scm());
   EXPECT_GT(scm.throughput() / hle.throughput(), 3.0);
 }
 
 TEST(Figures, Fig35_HleAndRtmElisionComparable) {
-  const auto hle = tree_run<locks::TtasLock>(locks::Scheme::kHle, 512, 20);
-  const auto rtm = tree_run<locks::TtasLock>(locks::Scheme::kRtmElide, 512, 20);
+  const auto hle = tree_run(LockSel::kTtas, ElisionPolicy::hle(), 512, 20);
+  const auto rtm =
+      tree_run(LockSel::kTtas, ElisionPolicy::rtm_elide(), 512, 20);
   const double ratio = rtm.throughput() / hle.throughput();
   EXPECT_GT(ratio, 0.7);
   EXPECT_LT(ratio, 1.4);

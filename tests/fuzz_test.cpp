@@ -41,9 +41,9 @@ TEST_P(TransferFuzz, SumConservedUnderRandomTransfers) {
   locks::TtasLock lock;
   // Use a different scheme per seed to cover the whole matrix over the
   // parameter sweep.
-  const locks::Scheme scheme =
-      locks::kAllSixSchemes[seed % std::size(locks::kAllSixSchemes)];
-  locks::CriticalSection<locks::TtasLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+  const locks::ElisionPolicy policy =
+      locks::kAllSixPolicies[seed % std::size(locks::kAllSixPolicies)];
+  locks::CriticalSection<locks::TtasLock> cs(policy, lock);
 
   for (int t = 0; t < 6; ++t) {
     sched.spawn([&](sim::SimThread& st) {
@@ -65,7 +65,7 @@ TEST_P(TransferFuzz, SumConservedUnderRandomTransfers) {
   sched.run();
   std::int64_t sum = 0;
   for (auto& c : cells) sum += c.value.unsafe_get();
-  EXPECT_EQ(sum, kCells * kInitial) << "scheme " << locks::scheme_name(scheme);
+  EXPECT_EQ(sum, kCells * kInitial) << "scheme " << policy.name();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransferFuzz, ::testing::Range(0, 18));
@@ -87,9 +87,9 @@ TEST_P(InvariantFuzz, CommittedReadersSeeConsistentSnapshots) {
   sim::Scheduler sched(machine_with_seed(seed * 977 + 3));
   tsx::Engine eng(sched);
   locks::TtasLock lock;
-  const locks::Scheme scheme =
-      locks::kAllSixSchemes[(seed + 2) % std::size(locks::kAllSixSchemes)];
-  locks::CriticalSection<locks::TtasLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+  const locks::ElisionPolicy policy =
+      locks::kAllSixPolicies[(seed + 2) % std::size(locks::kAllSixPolicies)];
+  locks::CriticalSection<locks::TtasLock> cs(policy, lock);
 
   for (int t = 0; t < 3; ++t) {
     sched.spawn([&](sim::SimThread& st) {  // writers
@@ -123,7 +123,7 @@ TEST_P(InvariantFuzz, CommittedReadersSeeConsistentSnapshots) {
     });
   }
   sched.run();
-  EXPECT_FALSE(torn) << "scheme " << locks::scheme_name(scheme);
+  EXPECT_FALSE(torn) << "scheme " << policy.name();
   for (int i = 1; i < 4; ++i) {
     EXPECT_EQ(cells[i].value.unsafe_get(), cells[0].value.unsafe_get());
   }
@@ -160,9 +160,9 @@ TEST_P(TreeFuzz, TreeStaysValidUnderRandomMachines) {
   sim::Scheduler sched(m);
   tsx::Engine eng(sched);
   locks::McsLock lock;
-  const locks::Scheme scheme =
-      locks::kAllSixSchemes[seed % std::size(locks::kAllSixSchemes)];
-  locks::CriticalSection<locks::McsLock> cs(locks::ElisionPolicy::from_scheme(scheme), lock);
+  const locks::ElisionPolicy policy =
+      locks::kAllSixPolicies[seed % std::size(locks::kAllSixPolicies)];
+  locks::CriticalSection<locks::McsLock> cs(policy, lock);
   for (int t = 0; t < threads; ++t) {
     sched.spawn([&](sim::SimThread& st) {
       auto& ctx = eng.context(st);
@@ -184,7 +184,7 @@ TEST_P(TreeFuzz, TreeStaysValidUnderRandomMachines) {
   sched.run();
   std::string why;
   EXPECT_TRUE(tree.unsafe_validate(&why))
-      << why << " (seed " << seed << ", scheme " << locks::scheme_name(scheme)
+      << why << " (seed " << seed << ", scheme " << policy.name()
       << ", threads " << threads << ")";
 }
 

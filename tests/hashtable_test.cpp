@@ -147,12 +147,12 @@ TEST(HashTable, AbortRollsBackInsertAndAllocator) {
 }
 
 struct HtParam {
-  locks::Scheme scheme;
+  locks::ElisionPolicy policy;
   bool mcs;
 };
 
 std::string ht_param_name(const ::testing::TestParamInfo<HtParam>& info) {
-  std::string s = locks::scheme_name(info.param.scheme);
+  std::string s = info.param.policy.name();
   for (auto& c : s) {
     if (c == '-') c = '_';
   }
@@ -172,7 +172,7 @@ TEST_P(HashTableConcurrent, ValueSumConserved) {
 
   auto run_with = [&](auto& lock) {
     using Lock = std::remove_reference_t<decltype(lock)>;
-    locks::CriticalSection<Lock> cs(locks::ElisionPolicy::from_scheme(p.scheme), lock);
+    locks::CriticalSection<Lock> cs(p.policy, lock);
     for (int t = 0; t < kThreads; ++t) {
       sched.spawn([&](sim::SimThread& st) {
         auto& ctx = eng.context(st);
@@ -203,8 +203,8 @@ TEST_P(HashTableConcurrent, ValueSumConserved) {
 
 std::vector<HtParam> ht_params() {
   std::vector<HtParam> out;
-  for (const auto scheme : locks::kAllSixSchemes) {
-    for (const bool mcs : {false, true}) out.push_back({scheme, mcs});
+  for (const auto& policy : locks::kAllSixPolicies) {
+    for (const bool mcs : {false, true}) out.push_back({policy, mcs});
   }
   return out;
 }

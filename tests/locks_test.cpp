@@ -445,8 +445,12 @@ TEST(PolicySpec, NamedConstructorsRoundTrip) {
 }
 
 TEST(PolicySpec, SchemeDefaultsSpellAsBareSlug) {
-  for (const Scheme s : kAllSchemes) {
-    EXPECT_EQ(ElisionPolicy::from_scheme(s).spec(), scheme_slug(s));
+  // kAllPolicies holds one default policy per scheme, in Scheme order.
+  ASSERT_EQ(std::size(kAllPolicies),
+            static_cast<std::size_t>(Scheme::kAdaptive) + 1);
+  for (std::size_t i = 0; i < std::size(kAllPolicies); ++i) {
+    EXPECT_EQ(kAllPolicies[i].scheme, static_cast<Scheme>(i));
+    EXPECT_EQ(kAllPolicies[i].spec(), kAllPolicies[i].slug());
   }
 }
 

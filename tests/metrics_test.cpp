@@ -288,12 +288,12 @@ std::size_t count_occurrences(const std::string& hay,
 TEST(MetricsExport, SixSchemeSweepHasMatrixAndHistogramPerScheme) {
   MetricsRegistry reg;
   tsx::Shared<std::uint64_t> counter;
-  for (const auto scheme : locks::kAllSixSchemes) {
+  for (const auto& policy : locks::kAllSixPolicies) {
     BenchConfig cfg;
     cfg.threads = 4;
     cfg.duration_sec = 0.0002;
     cfg.machine.seed = 7;
-    cfg.policy = locks::ElisionPolicy::from_scheme(scheme);
+    cfg.policy = policy;
     cfg.telemetry = true;
     locks::TtasLock lock;
     locks::CriticalSection<locks::TtasLock> cs(cfg.policy, lock);
@@ -308,9 +308,9 @@ TEST(MetricsExport, SixSchemeSweepHasMatrixAndHistogramPerScheme) {
   ASSERT_EQ(reg.entries().size(), 6u);
 
   const std::string json = export_to_string(reg, /*csv=*/false);
-  for (const auto scheme : locks::kAllSixSchemes) {
+  for (const auto& policy : locks::kAllSixPolicies) {
     const std::string key =
-        std::string("\"scheme\":\"") + locks::scheme_name(scheme) + "\"";
+        std::string("\"scheme\":\"") + policy.name() + "\"";
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   EXPECT_EQ(count_occurrences(json, "\"aborts_by_cause\""), 6u);

@@ -217,10 +217,10 @@ std::vector<stamp::StampResult> stamp_results(int host_threads) {
     stamp::StampConfig cfg;
     cfg.threads = 4;
     cfg.scale = 0.05;
-    cfg.scheme = locks::Scheme::kHleScm;
+    cfg.policy = locks::ElisionPolicy::hle_scm();
     jobs.push_back({app, cfg});
   }
-  jobs[3].cfg.scheme = locks::Scheme::kStandard;  // distinct duplicate app
+  jobs[3].cfg.policy = locks::ElisionPolicy::standard();  // distinct duplicate
   return stamp::run_apps(jobs, host_threads);
 }
 

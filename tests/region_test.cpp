@@ -47,18 +47,18 @@ TEST(Region, ModeRestoredAfterSpeculativeRegion) {
 TEST(Region, AttemptAccountingSpeculative) {
   // A clean speculative completion is exactly one attempt, under every
   // scheme.
-  for (const Scheme s : kAllSixSchemes) {
-    if (s == Scheme::kStandard) continue;
+  for (const ElisionPolicy& policy : kAllSixPolicies) {
+    if (policy.scheme == Scheme::kStandard) continue;
     TtasLock lock;
-    CriticalSection<TtasLock> cs(ElisionPolicy::from_scheme(s), lock);
+    CriticalSection<TtasLock> cs(policy, lock);
     tsx::Shared<std::uint64_t> x(0);
     sim::Scheduler sched(quiet_machine());
     tsx::Engine eng(sched, quiet_tsx());
     sched.spawn([&](sim::SimThread& st) {
       auto& ctx = eng.context(st);
       const auto r = cs.run(ctx, [&] { x.store(ctx, 1); });
-      EXPECT_TRUE(r.speculative) << scheme_name(s);
-      EXPECT_EQ(r.attempts, 1) << scheme_name(s);
+      EXPECT_TRUE(r.speculative) << policy.name();
+      EXPECT_EQ(r.attempts, 1) << policy.name();
     });
     sched.run();
   }
@@ -69,9 +69,10 @@ TEST(Region, AttemptAccountingOnCapacityGiveUp) {
   // opt-SLR detects no-RETRY and also serializes after one attempt.
   constexpr std::size_t kLines = 600;
   std::vector<support::CacheAligned<tsx::Shared<std::uint64_t>>> big(kLines);
-  for (const Scheme s : {Scheme::kHle, Scheme::kOptSlr}) {
+  for (const ElisionPolicy& policy :
+       {ElisionPolicy::hle(), ElisionPolicy::opt_slr()}) {
     TtasLock lock;
-    CriticalSection<TtasLock> cs(ElisionPolicy::from_scheme(s), lock);
+    CriticalSection<TtasLock> cs(policy, lock);
     sim::Scheduler sched(quiet_machine());
     tsx::Engine eng(sched, quiet_tsx());
     sched.spawn([&](sim::SimThread& st) {
@@ -79,8 +80,8 @@ TEST(Region, AttemptAccountingOnCapacityGiveUp) {
       const auto r = cs.run(ctx, [&] {
         for (auto& b : big) b.value.store(ctx, b.value.load(ctx) + 1);
       });
-      EXPECT_FALSE(r.speculative) << scheme_name(s);
-      EXPECT_EQ(r.attempts, 2) << scheme_name(s);
+      EXPECT_FALSE(r.speculative) << policy.name();
+      EXPECT_EQ(r.attempts, 2) << policy.name();
     });
     sched.run();
   }
@@ -90,9 +91,9 @@ TEST(Region, AttemptAccountingOnCapacityGiveUp) {
 // Every scheme over every HLE-compatible lock: correctness matrix.
 template <typename Lock>
 void scheme_lock_matrix() {
-  for (const Scheme s : kAllSixSchemes) {
+  for (const ElisionPolicy& policy : kAllSixPolicies) {
     Lock lock;
-    CriticalSection<Lock> cs(ElisionPolicy::from_scheme(s), lock);
+    CriticalSection<Lock> cs(policy, lock);
     tsx::Shared<std::uint64_t> counter(0);
     sim::Scheduler sched(quiet_machine());
     tsx::Engine eng(sched, quiet_tsx());
@@ -107,7 +108,7 @@ void scheme_lock_matrix() {
     }
     sched.run();
     EXPECT_EQ(counter.unsafe_get(), kThreads * kIters)
-        << Lock::kName << " under " << scheme_name(s);
+        << Lock::kName << " under " << policy.name();
   }
 }
 

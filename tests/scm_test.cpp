@@ -304,9 +304,9 @@ TEST(Scm, WorksWithMcsMainLock) {
 }
 
 TEST(Scheme, RunnerDispatchesAllSchemes) {
-  for (const Scheme s : kAllSixSchemes) {
+  for (const ElisionPolicy& policy : kAllSixPolicies) {
     TtasLock main;
-    CriticalSection<TtasLock> cs(ElisionPolicy::from_scheme(s), main);
+    CriticalSection<TtasLock> cs(policy, main);
     tsx::Shared<std::uint64_t> counter(0);
     sim::Scheduler sched(quiet_machine());
     tsx::Engine eng(sched, quiet_tsx());
@@ -321,7 +321,7 @@ TEST(Scheme, RunnerDispatchesAllSchemes) {
       });
     }
     sched.run();
-    EXPECT_EQ(counter.unsafe_get(), 200u) << scheme_name(s);
+    EXPECT_EQ(counter.unsafe_get(), 200u) << policy.name();
   }
 }
 

@@ -115,12 +115,12 @@ TEST(SkipList, AbortRollsBackStructure) {
 }
 
 struct SlParam {
-  locks::Scheme scheme;
+  locks::ElisionPolicy policy;
   bool mcs;
 };
 
 std::string sl_name(const ::testing::TestParamInfo<SlParam>& info) {
-  std::string s = locks::scheme_name(info.param.scheme);
+  std::string s = info.param.policy.name();
   for (auto& c : s) {
     if (c == '-') c = '_';
   }
@@ -170,11 +170,11 @@ TEST_P(SkipListConcurrent, StructureSurvivesConcurrency) {
   };
   if (p.mcs) {
     locks::McsLock lock;
-    locks::CriticalSection<locks::McsLock> cs(locks::ElisionPolicy::from_scheme(p.scheme), lock);
+    locks::CriticalSection<locks::McsLock> cs(p.policy, lock);
     worker(cs);
   } else {
     locks::TtasLock lock;
-    locks::CriticalSection<locks::TtasLock> cs(locks::ElisionPolicy::from_scheme(p.scheme), lock);
+    locks::CriticalSection<locks::TtasLock> cs(p.policy, lock);
     worker(cs);
   }
   std::string why;
@@ -185,8 +185,8 @@ TEST_P(SkipListConcurrent, StructureSurvivesConcurrency) {
 
 std::vector<SlParam> sl_params() {
   std::vector<SlParam> out;
-  for (const auto scheme : locks::kAllSixSchemes) {
-    for (const bool mcs : {false, true}) out.push_back({scheme, mcs});
+  for (const auto& policy : locks::kAllSixPolicies) {
+    for (const bool mcs : {false, true}) out.push_back({policy, mcs});
   }
   return out;
 }

@@ -26,12 +26,12 @@ bool deterministic_app(const std::string& name) {
 
 struct StampParam {
   std::string app;
-  locks::Scheme scheme;
+  locks::ElisionPolicy policy;
   LockKind lock;
 };
 
 std::string stamp_param_name(const ::testing::TestParamInfo<StampParam>& i) {
-  std::string s = i.param.app + "_" + locks::scheme_name(i.param.scheme) +
+  std::string s = i.param.app + "_" + i.param.policy.name() +
                   (i.param.lock == LockKind::kTtas ? "_TTAS" : "_MCS");
   for (auto& c : s) {
     if (c == '-') c = '_';
@@ -48,7 +48,6 @@ class StampApps : public ::testing::TestWithParam<StampParam> {
       for (const char* app : kAppNames) {
         StampConfig cfg = base_config();
         cfg.threads = 1;
-        cfg.scheme = locks::Scheme::kStandard;
         out[app] = run_app(app, cfg).checksum;
       }
       return out;
@@ -60,7 +59,7 @@ class StampApps : public ::testing::TestWithParam<StampParam> {
 TEST_P(StampApps, CompletesCorrectly) {
   const StampParam p = GetParam();
   StampConfig cfg = base_config();
-  cfg.scheme = p.scheme;
+  cfg.policy = p.policy;
   cfg.lock = p.lock;
   const StampResult r = run_app(p.app, cfg);
   EXPECT_GT(r.ops, 0u);
@@ -77,12 +76,9 @@ TEST_P(StampApps, CompletesCorrectly) {
 std::vector<StampParam> stamp_params() {
   std::vector<StampParam> out;
   for (const char* app : kAllAppNames) {
-    for (const auto scheme :
-         {locks::Scheme::kStandard, locks::Scheme::kHle,
-          locks::Scheme::kHleScm, locks::Scheme::kPesSlr,
-          locks::Scheme::kOptSlr, locks::Scheme::kOptSlrScm}) {
-      out.push_back({app, scheme, LockKind::kTtas});
-      out.push_back({app, scheme, LockKind::kMcs});
+    for (const auto& policy : locks::kAllSixPolicies) {
+      out.push_back({app, policy, LockKind::kTtas});
+      out.push_back({app, policy, LockKind::kMcs});
     }
   }
   return out;
@@ -95,7 +91,7 @@ INSTANTIATE_TEST_SUITE_P(AllApps, StampApps,
 TEST(StampScaling, ThreadCountPreservesResults) {
   for (const char* app : {"genome", "kmeans_high", "ssca2", "intruder"}) {
     StampConfig cfg = base_config();
-    cfg.scheme = locks::Scheme::kHleScm;
+    cfg.policy = locks::ElisionPolicy::hle_scm();
     std::uint64_t first = 0;
     for (const int threads : {1, 2, 8}) {
       cfg.threads = threads;
@@ -115,11 +111,23 @@ TEST(StampSpeedup, ElisionBeatsSerialAtEightThreads) {
   // HLE-SCM must beat the standard lock at 8 threads on genome.
   StampConfig cfg = base_config();
   cfg.scale = 0.25;
-  cfg.scheme = locks::Scheme::kStandard;
   const auto standard = run_app("genome", cfg);
-  cfg.scheme = locks::Scheme::kHleScm;
+  cfg.policy = locks::ElisionPolicy::hle_scm();
   const auto scm = run_app("genome", cfg);
   EXPECT_LT(scm.elapsed_cycles, standard.elapsed_cycles);
+}
+
+TEST(StampApi, PolicyKnobsReachTheCriticalSection) {
+  // The whole policy reaches the apps, not just its scheme: capping HLE at
+  // one speculative attempt bounds every region to two executions.
+  StampConfig cfg = base_config();
+  cfg.policy = locks::ElisionPolicy::hle();
+  const auto plain = run_app("intruder", cfg);
+  cfg.policy = locks::ElisionPolicy::hle().with_max_spec_attempts(1);
+  const auto capped = run_app("intruder", cfg);
+  EXPECT_GT(plain.attempts_per_op(), 2.0);
+  EXPECT_LE(capped.attempts_per_op(), 2.0);
+  EXPECT_TRUE(capped.invariants_ok);
 }
 
 TEST(StampApi, UnknownAppCheckFails) {

@@ -2,7 +2,8 @@
 // byte-exact canonical JSON round-trip (full registry and the committed
 // baseline), the regression gate (including a planted regression and
 // coverage loss), the paper-qualitative invariant checks, and the
-// seed-merge regression test for run_rb_point's timeline aggregation.
+// RB-tree workload itself: run_rb_point's seed merge, its lock table and
+// the TsxConfig / telemetry-sink / adaptive-trace plumbing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +15,12 @@
 #include "harness/micro_point.hpp"
 #include "harness/rb_workload.hpp"
 #include "harness/suite.hpp"
+#include "locks/clh_lock.hpp"
+#include "locks/mcs_lock.hpp"
+#include "locks/ticket_lock.hpp"
+#include "locks/ttas_lock.hpp"
 #include "support/json.hpp"
+#include "tsx/telemetry.hpp"
 
 namespace elision::harness {
 namespace {
@@ -108,7 +114,7 @@ TEST(MicroPointRun, SimulatedMetricsAreDeterministic) {
   EXPECT_GT(a.tx.aborts, 0u);
 }
 
-// Regression (bench_common.hpp run_rb_point): per-slot timeline data was
+// Regression (run_rb_point): per-slot timeline data was
 // silently dropped when seeds > 1, so Fig 3.3-style benches averaged only
 // zeros. The timelines of all seed runs must merge slot-wise.
 TEST(RbWorkload, TimelineMergedAcrossSeeds) {
@@ -161,6 +167,71 @@ TEST(RbWorkload, AccumulateChecksGhzAndMergesCounters) {
   other_machine.ghz = 3.4;
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(total.accumulate(other_machine), "different MachineConfig");
+}
+
+TEST(RbWorkload, LockSelSlugsRoundTripAndNamesAreLockNames) {
+  const std::pair<LockSel, const char*> cases[] = {
+      {LockSel::kTtas, locks::TtasLock::kName},
+      {LockSel::kMcs, locks::McsLock::kName},
+      {LockSel::kTicketAdj, locks::TicketLockAdjusted::kName},
+      {LockSel::kClhAdj, locks::ClhLockAdjusted::kName},
+      {LockSel::kTicket, locks::TicketLock::kName},
+      {LockSel::kClh, locks::ClhLock::kName},
+  };
+  for (const auto& [sel, name] : cases) {
+    EXPECT_STREQ(lock_sel_name(sel), name);
+    EXPECT_EQ(parse_lock_sel(lock_sel_slug(sel)), sel) << name;
+  }
+  EXPECT_EQ(lock_sel_slug(LockSel::kTicketAdj), std::string("ticket-adj"));
+  EXPECT_FALSE(parse_lock_sel("TTAS").has_value());
+  EXPECT_FALSE(parse_lock_sel("backoff").has_value());
+}
+
+// The point's TsxConfig reaches the engine: a raised spurious-abort rate
+// shows up as spurious aborts.
+TEST(RbWorkload, TsxConfigReachesTheEngine) {
+  RbPoint p;
+  p.size = 64;
+  p.scheme = locks::ElisionPolicy::hle();
+  p.duration_sec = 0.0005;
+  p.seeds = 1;
+  const auto spurious = static_cast<int>(tsx::AbortCause::kSpurious);
+  const std::uint64_t base = run_rb_point(p).tx.aborts_by_cause[spurious];
+  p.tsx.spurious_per_begin = 0.01;
+  EXPECT_GT(run_rb_point(p).tx.aborts_by_cause[spurious], base + 10);
+}
+
+// A caller-owned sink receives the run's events, and the adaptive
+// controller's decision trace comes back through the out-param.
+TEST(RbWorkload, TelemetrySinkAndAdaptiveTraceOutParams) {
+  tsx::Telemetry sink;
+  AdaptiveTrace trace;
+  RbPoint p;
+  p.size = 12;
+  p.update_pct = 100;
+  p.threads = 16;
+  p.scheme = locks::ElisionPolicy::adaptive().with_adaptive_window(16);
+  p.duration_sec = 0.001;
+  p.seeds = 1;
+  p.telemetry_sink = &sink;
+  p.adaptive_trace = &trace;
+  const RunStats stats = run_rb_point(p);
+  if (tsx::kTelemetryCompiled) {
+    EXPECT_GT(sink.total_recorded(), 0u);
+    EXPECT_EQ(sink.total_recorded(), stats.telemetry_events);
+  }
+  ASSERT_FALSE(trace.decisions.empty());
+  EXPECT_EQ(trace.decisions.back().to, trace.final_mode);
+}
+
+TEST(RbWorkload, OutParamsNeedASingleSeedPoint) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  tsx::Telemetry sink;
+  RbPoint p;
+  p.duration_sec = 0.0001;
+  p.seeds = 2;
+  p.telemetry_sink = &sink;
+  EXPECT_DEATH(run_rb_point(p), "single-seed");
 }
 
 // Synthetic metrics over the full registry: every point kind, the machine-

@@ -7,11 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "ds/rbtree.hpp"
-#include "harness/runner.hpp"
-#include "locks/mcs_lock.hpp"
-#include "locks/schemes.hpp"
-#include "support/rng.hpp"
+#include "harness/rb_workload.hpp"
 #include "tsx/telemetry.hpp"
 
 namespace elision::tsx {
@@ -234,38 +230,17 @@ TEST(RejoinLatencies, PairsEnterWithExitPerThread) {
 
 // --- end-to-end: the Chapter 3 avalanche on a real workload ---
 
+// The Ch. 3 shape: 64-node tree, 10i/10d/80l, 8 threads over one MCS lock,
+// one 1 ms seed.
 harness::RunStats run_rb(locks::ElisionPolicy policy, bool telemetry) {
-  constexpr std::size_t kSize = 64;
-  ds::RbTree tree(kSize * 4 + 256);
-  support::Xoshiro256 fill(42);
-  std::size_t filled = 0;
-  while (filled < kSize) {
-    if (tree.unsafe_insert(fill.next_below(kSize * 2))) ++filled;
-  }
-  harness::BenchConfig cfg;
-  cfg.threads = 8;
-  cfg.duration_sec = 0.001;
-  cfg.machine.seed = 42;
-  cfg.policy = policy;
-  cfg.telemetry = telemetry;
-  tree.unsafe_distribute_free_lists(cfg.threads);
-
-  locks::McsLock lock;
-  locks::CriticalSection<locks::McsLock> cs(policy, lock);
-  return harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-    auto& rng = ctx.thread().rng();
-    const std::uint64_t key = rng.next_below(kSize * 2);
-    const auto dice = static_cast<int>(rng.next_below(100));
-    return cs.run(ctx, [&] {
-      if (dice < 10) {
-        tree.insert(ctx, key);
-      } else if (dice < 20) {
-        tree.erase(ctx, key);
-      } else {
-        tree.contains(ctx, key);
-      }
-    });
-  });
+  harness::RbPoint p;
+  p.size = 64;
+  p.lock = harness::LockSel::kMcs;
+  p.scheme = policy;
+  p.duration_sec = 0.001;
+  p.seeds = 1;
+  p.telemetry = telemetry;
+  return harness::run_rb_point(p);
 }
 
 int max_victims(const harness::RunStats& stats) {

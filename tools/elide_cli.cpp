@@ -9,35 +9,30 @@
 //
 // Locks: ttas mcs ticket ticket-adj clh clh-adj
 // Schemes: standard hle hle-scm pes-slr opt-slr opt-slr-scm rtm-elide
-//          hle-scm-nested hle-gscm
-#include <algorithm>
+//          hle-scm-nested hle-gscm, with optional :knob=N suffixes
+//          (locks/policy.hpp); stamp rejects +shared.
+//
+// tree and schemes run harness::run_rb_point, the same tree workload as the
+// bench suite. `tree --trace FILE` writes the telemetry event CSV (the
+// columns of `trace_dump --events-format csv`).
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "ds/rbtree.hpp"
+#include "harness/rb_workload.hpp"
 #include "harness/report.hpp"
-#include "harness/runner.hpp"
-#include "locks/clh_lock.hpp"
-#include "locks/mcs_lock.hpp"
 #include "locks/policy.hpp"
-#include "locks/schemes.hpp"
-#include "locks/ticket_lock.hpp"
-#include "locks/ttas_lock.hpp"
 #include "sim/machine_config.hpp"
 #include "stamp/common.hpp"
 #include "support/parse.hpp"
-#include "tsx/trace.hpp"
+#include "tsx/telemetry.hpp"
 
 namespace {
 
 using namespace elision;
 
 struct Options {
-  std::string lock = "ttas";
+  harness::LockSel lock = harness::LockSel::kTtas;
   std::string scheme = "hle-scm";
   int threads = 8;
   std::size_t size = 1024;
@@ -47,7 +42,6 @@ struct Options {
   bool hwext = false;
   std::string trace_file;
 };
-
 
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr, "error: %s\n\n", why);
@@ -77,7 +71,10 @@ Options parse(int argc, char** argv, int first, std::string* positional) {
       return argv[++i];
     };
     if (a == "--lock") {
-      o.lock = next();
+      const std::string l = next();
+      const auto sel = harness::parse_lock_sel(l);
+      if (!sel) usage(("unknown lock " + l).c_str());
+      o.lock = *sel;
     } else if (a == "--scheme") {
       o.scheme = next();
     } else if (a == "--threads") {
@@ -129,66 +126,47 @@ locks::ElisionPolicy parse_policy(const std::string& s) {
   return *p;
 }
 
-template <typename Lock>
-int run_tree_with(const Options& o, const locks::ElisionPolicy& policy) {
-  ds::RbTree tree(o.size * 4 + 256,
-                  std::max(o.threads, tsx::kDefaultPoolThreads));
-  support::Xoshiro256 fill(42);
-  std::size_t filled = 0;
-  while (filled < o.size) {
-    if (tree.unsafe_insert(fill.next_below(o.size * 2))) ++filled;
+// One single-seed point of the shared RB-tree workload (harness::RbPoint).
+harness::RbPoint tree_point(const Options& o, harness::LockSel lock,
+                            const locks::ElisionPolicy& policy) {
+  harness::RbPoint p;
+  p.size = o.size;
+  p.update_pct = o.updates;
+  p.threads = o.threads;
+  p.scheme = policy;
+  p.lock = lock;
+  p.duration_sec = o.ms / 1e3;
+  p.seeds = 1;
+  return p;
+}
+
+int cmd_tree(const Options& o) {
+  const locks::ElisionPolicy policy = parse_policy(o.scheme);
+  if (!o.trace_file.empty() && !tsx::kTelemetryCompiled) {
+    std::fprintf(stderr,
+                 "telemetry was compiled out (ELISION_TELEMETRY=OFF); "
+                 "--trace has nothing to record\n");
+    return 1;
   }
-  tree.unsafe_distribute_free_lists(o.threads);
+  harness::RbPoint p = tree_point(o, o.lock, policy);
+  p.tsx.hardware_extension = o.hwext;
+  tsx::Telemetry telemetry;
+  if (!o.trace_file.empty()) p.telemetry_sink = &telemetry;
+  const harness::RunStats stats = harness::run_rb_point(p);
 
-  Lock lock;
-  locks::CriticalSection<Lock> cs(policy, lock);
-  harness::BenchConfig cfg;
-  cfg.threads = o.threads;
-  cfg.duration_sec = o.ms / 1e3;
-  cfg.tsx.hardware_extension = o.hwext;
-
-  // Tracing requires driving the scheduler ourselves.
-  tsx::Trace trace;
-  sim::Scheduler sched(cfg.machine);
-  tsx::Engine eng(sched, cfg.tsx);
-  if (!o.trace_file.empty()) eng.set_trace(&trace);
-  std::uint64_t ops = 0, nonspec = 0, attempts = 0;
-  const int half = o.updates / 2;
-  for (int t = 0; t < o.threads; ++t) {
-    sched.spawn([&](sim::SimThread& st) {
-      auto& ctx = eng.context(st);
-      while (!st.stop_requested()) {
-        const std::uint64_t key = st.rng().next_below(o.size * 2);
-        const auto dice = static_cast<int>(st.rng().next_below(100));
-        const auto r = cs.run(ctx, [&] {
-          if (dice < half) {
-            tree.insert(ctx, key);
-          } else if (dice < o.updates) {
-            tree.erase(ctx, key);
-          } else {
-            tree.contains(ctx, key);
-          }
-        });
-        ++ops;
-        attempts += static_cast<std::uint64_t>(r.attempts);
-        if (!r.speculative) ++nonspec;
-      }
-    });
-  }
-  sched.run_for(cfg.duration_cycles());
-
-  const double secs = cfg.machine.seconds(sched.elapsed_cycles());
-  const auto tx = eng.total_stats();
-  std::printf("workload:   red-black tree, size %zu, %d%% updates, %d threads\n",
-              o.size, o.updates, o.threads);
+  const auto& tx = stats.tx;
+  std::printf(
+      "workload:   red-black tree, size %zu, %d%% updates, %d threads\n",
+      o.size, o.updates, o.threads);
   std::printf("scheme:     %s on %s%s\n", policy.spec().c_str(),
-              Lock::kName, o.hwext ? " + Ch.7 hardware extension" : "");
+              harness::lock_sel_name(o.lock),
+              o.hwext ? " + Ch.7 hardware extension" : "");
   std::printf("throughput: %.2f Mops/s  (%llu ops in %.2f simulated ms)\n",
-              ops / secs / 1e6, static_cast<unsigned long long>(ops),
-              secs * 1e3);
+              stats.throughput() / 1e6,
+              static_cast<unsigned long long>(stats.ops),
+              stats.seconds() * 1e3);
   std::printf("attempts/op %.2f   non-speculative %.1f%%\n",
-              ops ? static_cast<double>(attempts) / ops : 0.0,
-              ops ? 100.0 * nonspec / ops : 0.0);
+              stats.attempts_per_op(), 100 * stats.nonspec_fraction());
   std::printf("tx: %llu begun, %llu committed, %llu aborted",
               static_cast<unsigned long long>(tx.begins),
               static_cast<unsigned long long>(tx.commits),
@@ -205,27 +183,14 @@ int run_tree_with(const Options& o, const locks::ElisionPolicy& policy) {
       std::fprintf(stderr, "cannot open %s\n", o.trace_file.c_str());
       return 1;
     }
-    trace.dump_csv(f);
+    telemetry.dump_csv(f);
     std::fclose(f);
-    std::printf("trace: %zu events -> %s\n", trace.size(),
+    std::printf("trace: %llu events recorded (%llu dropped) -> %s\n",
+                static_cast<unsigned long long>(telemetry.total_recorded()),
+                static_cast<unsigned long long>(telemetry.total_dropped()),
                 o.trace_file.c_str());
   }
   return 0;
-}
-
-int cmd_tree(const Options& o) {
-  const locks::ElisionPolicy scheme = parse_policy(o.scheme);
-  if (o.lock == "ttas") return run_tree_with<locks::TtasLock>(o, scheme);
-  if (o.lock == "mcs") return run_tree_with<locks::McsLock>(o, scheme);
-  if (o.lock == "ticket") return run_tree_with<locks::TicketLock>(o, scheme);
-  if (o.lock == "ticket-adj") {
-    return run_tree_with<locks::TicketLockAdjusted>(o, scheme);
-  }
-  if (o.lock == "clh") return run_tree_with<locks::ClhLock>(o, scheme);
-  if (o.lock == "clh-adj") {
-    return run_tree_with<locks::ClhLockAdjusted>(o, scheme);
-  }
-  usage(("unknown lock " + o.lock).c_str());
 }
 
 int cmd_stamp(const Options& o, const std::string& app) {
@@ -238,10 +203,13 @@ int cmd_stamp(const Options& o, const std::string& app) {
   stamp::StampConfig cfg;
   cfg.threads = o.threads;
   cfg.scale = o.scale;
-  cfg.scheme = parse_policy(o.scheme).scheme;  // STAMP is scheme-only
-  if (o.lock == "ttas") {
+  cfg.policy = parse_policy(o.scheme);
+  if (cfg.policy.mode == locks::AccessMode::kShared) {
+    usage("stamp runs under single-mode locks (ttas, mcs): no +shared");
+  }
+  if (o.lock == harness::LockSel::kTtas) {
     cfg.lock = stamp::LockKind::kTtas;
-  } else if (o.lock == "mcs") {
+  } else if (o.lock == harness::LockSel::kMcs) {
     cfg.lock = stamp::LockKind::kMcs;
   } else {
     usage("stamp supports --lock ttas|mcs");
@@ -249,7 +217,7 @@ int cmd_stamp(const Options& o, const std::string& app) {
   const auto r = stamp::run_app(app, cfg);
   std::printf("app:        %s (scale %.2f, %d threads)\n", app.c_str(),
               o.scale, o.threads);
-  std::printf("scheme:     %s on %s\n", locks::scheme_name(cfg.scheme),
+  std::printf("scheme:     %s on %s\n", cfg.policy.spec().c_str(),
               stamp::lock_name(cfg.lock));
   std::printf("run time:   %.3f simulated ms\n",
               1e3 * r.seconds(cfg.machine.ghz));
@@ -268,42 +236,16 @@ int cmd_schemes(const Options& o) {
               "(TTAS / MCS Mops/s):\n\n",
               o.size, o.updates, o.threads);
   harness::Table table({"scheme", "TTAS Mops/s", "MCS Mops/s"});
-  for (const locks::Scheme s : locks::kAllSchemes) {
-    if (s == locks::Scheme::kHleScmNested) continue;  // needs hw flag
-    const locks::ElisionPolicy scheme = locks::ElisionPolicy::from_scheme(s);
-    auto run = [&](auto lock_tag) {
-      using Lock = decltype(lock_tag);
-      ds::RbTree tree(o.size * 4 + 256,
-                  std::max(o.threads, tsx::kDefaultPoolThreads));
-      support::Xoshiro256 fill(42);
-      std::size_t filled = 0;
-      while (filled < o.size) {
-        if (tree.unsafe_insert(fill.next_below(o.size * 2))) ++filled;
-      }
-      tree.unsafe_distribute_free_lists(o.threads);
-      Lock lock;
-      locks::CriticalSection<Lock> cs(scheme, lock);
-      harness::BenchConfig cfg;
-      cfg.threads = o.threads;
-      cfg.duration_sec = o.ms / 1e3;
-      const int half = o.updates / 2;
-      const auto stats = harness::run_workload(cfg, [&](tsx::Ctx& ctx) {
-        const std::uint64_t key = ctx.thread().rng().next_below(o.size * 2);
-        const auto dice = static_cast<int>(ctx.thread().rng().next_below(100));
-        return cs.run(ctx, [&] {
-          if (dice < half) {
-            tree.insert(ctx, key);
-          } else if (dice < o.updates) {
-            tree.erase(ctx, key);
-          } else {
-            tree.contains(ctx, key);
-          }
-        });
-      });
-      return stats.throughput() / 1e6;
+  for (const locks::ElisionPolicy& policy : locks::kAllPolicies) {
+    // Algorithm 3 as designed needs TsxConfig::allow_hle_in_rtm.
+    if (policy.scheme == locks::Scheme::kHleScmNested) continue;
+    auto mops = [&](harness::LockSel lock) {
+      return harness::run_rb_point(tree_point(o, lock, policy)).throughput() /
+             1e6;
     };
-    table.add_row({scheme.spec(), harness::fmt(run(locks::TtasLock{}), 2),
-                   harness::fmt(run(locks::McsLock{}), 2)});
+    table.add_row({policy.spec(),
+                   harness::fmt(mops(harness::LockSel::kTtas), 2),
+                   harness::fmt(mops(harness::LockSel::kMcs), 2)});
   }
   table.print();
   return 0;
