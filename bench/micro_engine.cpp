@@ -17,23 +17,16 @@ using namespace elision;
 // Each iteration spins up one simulated thread performing `ops_per_run`
 // operations; we report time per simulated operation.
 template <typename Fn>
-void run_sim_cfg(benchmark::State& state, const tsx::TsxConfig& tcfg,
-                 std::int64_t ops_per_run, Fn&& fn) {
+void run_sim(benchmark::State& state, std::int64_t ops_per_run, Fn&& fn) {
   for (auto _ : state) {
     sim::MachineConfig mcfg;
     mcfg.n_cores = 1;
     sim::Scheduler sched(mcfg);
-    tsx::Engine eng(sched, tcfg);
+    tsx::Engine eng(sched);
     sched.spawn([&](sim::SimThread& t) { fn(eng.context(t)); });
     sched.run();
   }
   state.SetItemsProcessed(state.iterations() * ops_per_run);
-}
-
-template <typename Fn>
-void run_sim(benchmark::State& state, std::int64_t ops_per_run, Fn&& fn) {
-  run_sim_cfg(state, tsx::TsxConfig{}, ops_per_run,
-              static_cast<Fn&&>(fn));
 }
 
 void BM_DirectLoad(benchmark::State& state) {
@@ -167,42 +160,25 @@ void BM_LineTableClearRefill(benchmark::State& state) {
 }
 BENCHMARK(BM_LineTableClearRefill)->Arg(64)->Arg(1024);
 
-// The engine-level probe-vs-cached pair: a transaction re-reading lines it
-// already owns, with the owned-line fast path on (repeat accesses hit the
-// per-context cache and skip the LineTable probe, reader-set update and
-// abort checks) and off (every access takes tx_load_slow). The delta is
-// the per-access cost the fast path removed; the simulated results are
-// identical by construction (tests/fastpath_test.cpp).
-void repeat_read_tx(tsx::Ctx& ctx,
-                    std::vector<tsx::Shared<std::uint64_t>>& words) {
-  ctx.engine().run_transaction(ctx, [&] {
-    std::uint64_t sum = 0;
-    for (int rep = 0; rep < 50; ++rep) {
-      for (std::size_t w = 0; w < words.size(); ++w) {
-        sum += words[w].load(ctx);
-      }
-    }
-    benchmark::DoNotOptimize(sum);
-  });
-}
-
-void BM_TxRepeatReadOwnedCache(benchmark::State& state) {
+// A transaction re-reading lines already in its read set: every repeat
+// access finds its record through the context's LineTable::Cache memo and
+// skips the index probe, but still runs the full conflict and read-set
+// checks of tx_load_slow.
+void BM_TxRepeatRead(benchmark::State& state) {
   std::vector<tsx::Shared<std::uint64_t>> words(16);
   run_sim(state, 20 * 50 * 16, [&](tsx::Ctx& ctx) {
-    for (int i = 0; i < 20; ++i) repeat_read_tx(ctx, words);
+    for (int i = 0; i < 20; ++i) {
+      ctx.engine().run_transaction(ctx, [&] {
+        std::uint64_t sum = 0;
+        for (int rep = 0; rep < 50; ++rep) {
+          for (auto& w : words) sum += w.load(ctx);
+        }
+        benchmark::DoNotOptimize(sum);
+      });
+    }
   });
 }
-BENCHMARK(BM_TxRepeatReadOwnedCache);
-
-void BM_TxRepeatReadSlowPath(benchmark::State& state) {
-  tsx::TsxConfig tcfg;
-  tcfg.owned_line_fastpath = false;
-  std::vector<tsx::Shared<std::uint64_t>> words(16);
-  run_sim_cfg(state, tcfg, 20 * 50 * 16, [&](tsx::Ctx& ctx) {
-    for (int i = 0; i < 20; ++i) repeat_read_tx(ctx, words);
-  });
-}
-BENCHMARK(BM_TxRepeatReadSlowPath);
+BENCHMARK(BM_TxRepeatRead);
 
 void BM_FiberSwitch(benchmark::State& state) {
   // Two threads ping-ponging via strict earliest-first scheduling.

@@ -21,13 +21,8 @@ RunStats run_micro_point(const MicroPoint& p) {
   if (p.yield_slack_cycles != 0) {
     machine.yield_slack_cycles = p.yield_slack_cycles;
   }
-  tsx::TsxConfig tsx_config;
-  if (!env_fastpath_enabled()) {  // A/B hook, same as run_workload
-    machine.batch_switch_bound = false;
-    tsx_config.owned_line_fastpath = false;
-  }
   sim::Scheduler sched(machine);
-  tsx::Engine engine(sched, tsx_config);
+  tsx::Engine engine(sched);
 
   // Stable backing store for the simulated lines (never reallocated while
   // threads run). Line ids are real addresses >> 6, so the grouping of words

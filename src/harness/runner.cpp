@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 
@@ -59,12 +58,6 @@ int env_host_threads() {
   }
   if (v == 0) return support::host_hardware_threads();
   return static_cast<int>(v);
-}
-
-bool env_fastpath_enabled() {
-  const char* s = std::getenv("ELISION_FASTPATH");
-  if (s == nullptr || *s == '\0') return true;
-  return std::strcmp(s, "0") != 0;
 }
 
 void RunStats::accumulate(const RunStats& o) {
@@ -125,16 +118,8 @@ void validate_bench_config(const BenchConfig& cfg) {
   }
 }
 
-RunStats run_workload(const BenchConfig& cfg_in, const OpFn& op) {
-  validate_bench_config(cfg_in);
-  // ELISION_FASTPATH=0 disables both per-access fast paths (the engine's
-  // owned-line cache and the scheduler's switch-bound batching) for A/B
-  // speed measurement; simulated results are identical either way.
-  BenchConfig cfg = cfg_in;
-  if (!env_fastpath_enabled()) {
-    cfg.machine.batch_switch_bound = false;
-    cfg.tsx.owned_line_fastpath = false;
-  }
+RunStats run_workload(const BenchConfig& cfg, const OpFn& op) {
+  validate_bench_config(cfg);
   sim::Scheduler sched(cfg.machine);
   tsx::Engine eng(sched, cfg.tsx);
 

@@ -79,10 +79,10 @@ struct RunStats {
   std::uint64_t perturb_points = 0;
   double ghz = 3.4;
   tsx::TxStats tx;  // engine-level transaction counters
-  // Scheduler-side fast-path telemetry: how many times the cached
-  // context-switch bound was recomputed (once per actual switch under
-  // batching; 0 when machine.batch_switch_bound is off). Host-side
-  // observability only — the engine-side companions live in tx.
+  // How many times the scheduler recomputed its cached context-switch bound
+  // (once per actual switch under switch-bound batching). A function of the
+  // schedule alone, so it reproduces across processes like any simulated
+  // counter; it never feeds back into the simulation.
   std::uint64_t fp_bound_recomputes = 0;
   std::vector<SlotStats> timeline;
 
@@ -149,13 +149,6 @@ RunStats run_workload(const BenchConfig& cfg, const OpFn& op,
 
 // Reads ELISION_BENCH_SCALE (default 1.0) so users can lengthen runs.
 double env_duration_scale();
-
-// Reads ELISION_FASTPATH (default enabled; "0" disables): whether the
-// per-access fast paths — the engine's owned-line cache and the scheduler's
-// switch-bound batching — are engaged. They never change simulated results,
-// only host speed, so the off setting exists for A/B measurement and the
-// differential equivalence checks in scripts/check.sh.
-bool env_fastpath_enabled();
 
 // Reads ELISION_HOST_THREADS (default 1): how many *host* threads
 // independent simulations may fan out across (support/parallel.hpp).

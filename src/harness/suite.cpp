@@ -589,8 +589,6 @@ PointMetrics PointMetrics::derive(const RunStats& stats) {
                          ol.hist.quantile(0.99), ol.hist.quantile(0.999),
                          ol.hist.max()});
   }
-  m.fp_owned_hits = stats.tx.fp_owned_hits;
-  m.fp_probe_skips = stats.tx.fp_probe_skips;
   m.fp_bound_recomputes = stats.fp_bound_recomputes;
   return m;
 }
@@ -718,16 +716,8 @@ void write_point_json(const PointRecord& r, std::FILE* out) {
     }
     std::fprintf(out, "},");
   }
-  if (m.fp_owned_hits != 0 || m.fp_probe_skips != 0 ||
-      m.fp_bound_recomputes != 0) {
-    // Optional: points run with the fast path disabled (ELISION_FASTPATH=0)
-    // produce all-zero counters and stay byte-identical to the pre-fastpath
-    // schema.
-    std::fprintf(out,
-                 "\"fastpath\":{\"owned_hits\":%llu,\"probe_skips\":%llu,"
-                 "\"bound_recomputes\":%llu},",
-                 static_cast<unsigned long long>(m.fp_owned_hits),
-                 static_cast<unsigned long long>(m.fp_probe_skips),
+  if (m.fp_bound_recomputes != 0) {
+    std::fprintf(out, "\"fastpath\":{\"bound_recomputes\":%llu},",
                  static_cast<unsigned long long>(m.fp_bound_recomputes));
   }
   std::fprintf(out, "\"sim_ops_per_sec\":%.3f,\"wall_ms\":%.3f}}",
@@ -804,10 +794,7 @@ PointMetrics parse_metrics(const Value* metrics) {
                            u64(l, "max_cycles")});
     }
   }
-  const Value* fp = metrics->find("fastpath");
-  m.fp_owned_hits = u64(fp, "owned_hits");
-  m.fp_probe_skips = u64(fp, "probe_skips");
-  m.fp_bound_recomputes = u64(fp, "bound_recomputes");
+  m.fp_bound_recomputes = u64(metrics->find("fastpath"), "bound_recomputes");
   m.sim_ops_per_sec = num(metrics, "sim_ops_per_sec");
   m.wall_ms = num(metrics, "wall_ms");
   return m;

@@ -119,19 +119,10 @@ struct PointMetrics {
     std::uint64_t max_cycles = 0;
   };
   std::vector<OpLatencySummary> latency;
-  // Per-access fast-path telemetry (docs/simulator.md): owned-line cache
-  // hits, slot-memo probe skips, and switch-bound recomputes. Host-side
-  // observability of the hot path — none of these feed a simulated metric.
-  // fp_bound_recomputes is schedule-determined (identical across processes)
-  // but fp_owned_hits/fp_probe_skips depend on the host heap layout: line
-  // ids are real addresses >> 6 and index the direct-mapped caches, so two
-  // processes can see different collision patterns while simulating the
-  // exact same run. Comparisons (gate, parallel-identity, baseline drift)
-  // must treat the whole object like wall_ms and ignore it. Emitted in JSON
-  // as an optional "fastpath" object only when at least one is non-zero
-  // (ELISION_FASTPATH=0 runs stay byte-identical to pre-fastpath output).
-  std::uint64_t fp_owned_hits = 0;
-  std::uint64_t fp_probe_skips = 0;
+  // Switch-bound recomputes of the scheduler's batching fast path
+  // (docs/simulator.md). Schedule-determined, so identical across processes
+  // like every field above; it feeds no simulated metric. Emitted in JSON as
+  // an optional "fastpath" object only when non-zero.
   std::uint64_t fp_bound_recomputes = 0;
   // Host-side speed: simulated ops completed per host wall second and the
   // point's host wall time. These are the only non-deterministic fields of a

@@ -77,8 +77,9 @@ struct MachineConfig {
   // back-to-back against that one cached value. The bound can only change
   // when another thread runs, so recomputing it per switch instead of per
   // access produces the exact same schedule bit-for-bit (pinned by the
-  // golden switch-count tests). Off = the per-access ready-queue read, kept
-  // for differential schedule-equivalence tests.
+  // golden switch-count tests). Off = the per-access ready-queue read, the
+  // reference schedule of the batching differentials: only ready_queue_test
+  // and fastpath_test set this field.
   bool batch_switch_bound = true;
 
   // Safety valve: abort the simulation after this many context switches

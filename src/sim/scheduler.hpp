@@ -86,9 +86,6 @@ class SimThread {
   // exit at the next operation boundary.
   bool stop_requested() const;
 
-  // Slot for the TSX layer to attach its per-thread transaction context.
-  void* user_data = nullptr;
-
  private:
   friend class Scheduler;
   static void entry(void* self);
@@ -145,7 +142,6 @@ class Scheduler {
     return max_clock_;
   }
 
-  std::uint64_t deadline() const { return deadline_; }
   std::uint64_t switch_count() const { return switches_; }
 
   // Perturbations injected so far (see PerturbConfig). The stress driver
@@ -165,16 +161,6 @@ class Scheduler {
   // The thread currently executing, or nullptr when the host context runs.
   SimThread* current() { return current_; }
 
-  // Smallest clock among runnable threads (max uint64 if none). Finished
-  // threads hold the sentinel in the ready queue, so this is the root read —
-  // plus the running thread, whose slot is parked at the sentinel while
-  // switch-bound batching is on.
-  std::uint64_t min_runnable_clock() const {
-    const std::uint64_t m = ready_.min_clock();
-    if (current_ != nullptr && current_->vclock_ < m) return current_->vclock_;
-    return m;
-  }
-
   // Times the cached preemption bound was recomputed (one per context switch
   // under batching; 0 with batching off). Exported as fast-path telemetry.
   std::uint64_t switch_bound_recomputes() const { return bound_recomputes_; }
@@ -182,11 +168,6 @@ class Scheduler {
   // --- internal, used by SimThread ---
   void yield_from(SimThread& t);
   [[noreturn]] void finish_from(SimThread& t);
-  // Per-access cost multiplier of a *live* thread under the hyperthreading
-  // model: smt_slowdown while another live thread shares t's core, else 1.0.
-  double smt_multiplier(const SimThread& t) const {
-    return core_penalty_[t.core_];
-  }
 
  private:
   friend class SimThread;
@@ -249,11 +230,11 @@ class Scheduler {
   // ready_.clock_of(tid) mirrors threads_[tid]->vclock_ while the thread is
   // runnable and holds kFinishedClock once it finishes; the tournament tree
   // over those clocks is the single min/argmin implementation every consumer
-  // (tick path, pick_next, min_runnable_clock) reads. Under switch-bound
-  // batching the *running* thread's slot is additionally parked at the
-  // sentinel, so min_clock() is the min over the other runnable threads —
-  // a value that cannot change while the current thread runs, which is what
-  // makes caching switch_bound_ across accesses exact.
+  // (tick path, pick_next) reads. Under switch-bound batching the *running*
+  // thread's slot is additionally parked at the sentinel, so min_clock() is
+  // the min over the other runnable threads — a value that cannot change
+  // while the current thread runs, which is what makes caching switch_bound_
+  // across accesses exact.
   ReadyQueue ready_;
   // Cached preemption bound of the running thread (batching only): min
   // other-thread clock + yield slack, recomputed at every context switch.

@@ -63,18 +63,6 @@ struct TsxConfig {
   // Remark); setting this true models the paper's *intended* SCM design.
   bool allow_hle_in_rtm = false;
 
-  // Owned-line fast path: repeat transactional accesses to a line this
-  // thread already owns (reader bit held for loads, writer slot for stores,
-  // with no possible foreign writer) skip the line-table lookup, the
-  // reader-set update and the conflict checks entirely, charging the L1-hit
-  // cost directly. Simulated results are bit-identical with the flag off
-  // (the skipped work is all idempotent and the RNG draw sequence is
-  // unchanged); off exists for the differential schedule-equivalence tests
-  // and A/B speed measurement. Ignored — never engaged — under
-  // hardware_extension, whose lock-line survival rule lets a foreign writer
-  // coexist with a live reader.
-  bool owned_line_fastpath = true;
-
   // Chapter 7 hardware extension: distinguish lock-line conflicts from data
   // conflicts; speculators survive a non-speculative lock acquisition while
   // they stay within their cache footprint, suspending on a miss.

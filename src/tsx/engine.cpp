@@ -80,10 +80,6 @@ void Engine::release_ownership(Ctx& ctx) {
   ctx.read_lines_.clear();
   ctx.write_lines_.clear();
   ctx.l1_set_occupancy_.fill(0);
-  // Every path that strips this context's reader/writer ownership funnels
-  // through here (commit, self-abort, remote abort), so one epoch bump
-  // invalidates all of its cached owned-line entries at once.
-  ++ctx.own_epoch_;
 }
 
 void Engine::rollback_and_throw(Ctx& ctx, AbortCause cause,
@@ -116,14 +112,6 @@ void Engine::rollback_and_throw(Ctx& ctx, AbortCause cause,
   ctx.pending_conflict_thread_ = -1;
   ctx.last_abort_cause_ = cause;
   ctx.stats_.record_abort(cause);
-  if (trace_ != nullptr) [[unlikely]] {
-    trace_->record({.timestamp = ctx.thread().now(),
-                    .thread = ctx.id(),
-                    .kind = TraceEvent::Kind::kAbort,
-                    .cause = cause,
-                    .conflict_line = ctx.last_conflict_line_,
-                    .conflict_thread = ctx.last_conflict_thread_});
-  }
   if constexpr (kTelemetryCompiled) {
     if (telemetry_ != nullptr) [[unlikely]] {
       telemetry_->record(
@@ -242,20 +230,9 @@ void Engine::hwext_wait_for_new_line(Ctx& ctx, const LineRecord& /*rec*/) {
 // ---------------------------------------------------------------------------
 
 std::uint64_t Engine::tx_load_slow(Ctx& ctx, const void* addr,
-                                   std::uintptr_t key, LineId line,
-                                   TxContext::CachedLine& cl) {
-  // Record pointers are stable (chunked storage), so the memo needs only a
-  // generation compare — no index probe, no re-fetch after yields. Gated on
-  // the fast-path flag so ELISION_FASTPATH=0 zeroes every fastpath counter
-  // and its output stays byte-identical to the pre-fastpath schema.
-  LineRecord* rec;
-  if (config_.owned_line_fastpath && cl.ref.line == line &&
-      cl.ref.gen == table_.generation()) {
-    rec = cl.ref.rec;
-    ++ctx.stats_.fp_probe_skips;
-  } else {
-    rec = &table_.record(line, cl.ref);
-  }
+                                   std::uintptr_t key) {
+  const LineId line = line_of(addr);
+  LineRecord* rec = &table_.record(line, ctx.line_cache_for(line));
   const bool in_rset = rec->readers.test(ctx.id());
   if (config_.hardware_extension) {
     const bool in_footprint =
@@ -282,30 +259,14 @@ std::uint64_t Engine::tx_load_slow(Ctx& ctx, const void* addr,
     ctx.lock_line_data_accessed_ = true;
   }
   const std::uint64_t value = read_word(addr);
-  if (config_.owned_line_fastpath && !config_.hardware_extension) {
-    // Reader bit held; writer is now self or none (a foreign writer was
-    // aborted above, which cleared its slot). Full reassignment, never |=:
-    // the entry may have cached a different line of the same epoch. Marked
-    // before the charge: its tick may yield, and a remote abort during the
-    // yield must land its epoch bump after this store (invalidating it).
-    cl.owned_epoch = ctx.own_epoch_;
-    cl.owned = static_cast<std::uint8_t>(
-        Ctx::kOwnedRead | (rec->writer == ctx.id() ? Ctx::kOwnedWrite : 0));
-  }
   charge_read(ctx, *rec);
   return value;
 }
 
-void Engine::tx_store_slow(Ctx& ctx, std::uint64_t value, std::uintptr_t key,
-                           LineId line, TxContext::CachedLine& cl) {
-  LineRecord* rec;
-  if (config_.owned_line_fastpath && cl.ref.line == line &&
-      cl.ref.gen == table_.generation()) {
-    rec = cl.ref.rec;
-    ++ctx.stats_.fp_probe_skips;
-  } else {
-    rec = &table_.record(line, cl.ref);
-  }
+void Engine::tx_store_slow(Ctx& ctx, void* addr, std::uint64_t value) {
+  const auto key = reinterpret_cast<std::uintptr_t>(addr);
+  const LineId line = line_of(addr);
+  LineRecord* rec = &table_.record(line, ctx.line_cache_for(line));
   const bool in_wset = rec->writer == ctx.id();
   if (!in_wset) {
     if (config_.hardware_extension) {
@@ -350,16 +311,6 @@ void Engine::tx_store_slow(Ctx& ctx, std::uint64_t value, std::uintptr_t key,
     ctx.lock_line_data_accessed_ = true;
   }
   ctx.wbuf_.put(key, value);
-  if (config_.owned_line_fastpath && !config_.hardware_extension) {
-    // Writer slot held. Read-owned only if the reader bit is actually set:
-    // a write-set line outside the read set still owes its first load the
-    // reader-bit update, the read_lines_ entry and the admission check.
-    // Marked before the charge — see tx_load.
-    cl.owned_epoch = ctx.own_epoch_;
-    cl.owned = static_cast<std::uint8_t>(
-        Ctx::kOwnedWrite |
-        (rec->readers.test(ctx.id()) ? Ctx::kOwnedRead : 0));
-  }
   charge_write(ctx, *rec, /*is_rmw=*/false);
 }
 
@@ -369,7 +320,7 @@ void Engine::tx_store_slow(Ctx& ctx, std::uint64_t value, std::uintptr_t key,
 
 std::uint64_t Engine::direct_load(Ctx& ctx, const void* addr) {
   const LineId line = line_of(addr);
-  LineRecord& rec = table_.record(line, ctx.line_cache_for(line).ref);
+  LineRecord& rec = table_.record(line, ctx.line_cache_for(line));
   if (rec.writer != kNoThread) {
     // A plain read request for a line in a transaction's write set aborts
     // that transaction; the read sees pre-transactional memory.
@@ -383,7 +334,7 @@ std::uint64_t Engine::direct_load(Ctx& ctx, const void* addr) {
 template <typename F>
 std::uint64_t Engine::direct_update(Ctx& ctx, void* addr, bool is_rmw, F&& f) {
   const LineId line = line_of(addr);
-  LineRecord& rec = table_.record(line, ctx.line_cache_for(line).ref);
+  LineRecord& rec = table_.record(line, ctx.line_cache_for(line));
   if (rec.writer != kNoThread) {
     abort_remote(rec.writer, AbortCause::kConflict, line, ctx.id());
   }
@@ -457,11 +408,6 @@ void Engine::begin_tx(Ctx& ctx) {
   ctx.nest_depth_ = 1;
   ctx.begin_time_ = ctx.thread().now();
   ++ctx.stats_.begins;
-  if (trace_ != nullptr) [[unlikely]] {
-    trace_->record({.timestamp = ctx.thread().now(),
-                    .thread = ctx.id(),
-                    .kind = TraceEvent::Kind::kBegin});
-  }
   note_event(ctx, EventKind::kTxBegin);
   ctx.thread().tick(cost_.xbegin);
   spurious_check(ctx, config_.spurious_per_begin);
@@ -486,11 +432,6 @@ void Engine::commit(Ctx& ctx) {
   ctx.nest_depth_ = 0;
   ctx.state_ = TxState::kInactive;
   ++ctx.stats_.commits;
-  if (trace_ != nullptr) [[unlikely]] {
-    trace_->record({.timestamp = ctx.thread().now(),
-                    .thread = ctx.id(),
-                    .kind = TraceEvent::Kind::kCommit});
-  }
   note_event(ctx, EventKind::kTxCommit);
 }
 
@@ -537,8 +478,7 @@ void Engine::elide_begin(Ctx& ctx, void* addr, std::uint64_t illusion_value) {
   const auto key = reinterpret_cast<std::uintptr_t>(addr);
   ELISION_CHECK_MSG(!ctx.elided_, "one elided lock per transaction supported");
   const LineId line = line_of(addr);
-  Ctx::CachedLine& cl = ctx.line_cache_for(line);
-  LineRecord& rec = table_.record(line, cl.ref);
+  LineRecord& rec = table_.record(line, ctx.line_cache_for(line));
   if (rec.writer != kNoThread && rec.writer != ctx.id()) {
     if (requester_must_yield(ctx, *contexts_[rec.writer])) {
       abort_self(ctx, AbortCause::kConflict);
@@ -556,12 +496,6 @@ void Engine::elide_begin(Ctx& ctx, void* addr, std::uint64_t illusion_value) {
   ctx.elided_original_ = read_word(addr);
   ctx.elided_illusion_ = illusion_value;
   ctx.lock_line_data_accessed_ = false;
-  if (config_.owned_line_fastpath && !config_.hardware_extension) {
-    // Marked before the charge — see tx_load.
-    cl.owned_epoch = ctx.own_epoch_;
-    cl.owned = static_cast<std::uint8_t>(
-        Ctx::kOwnedRead | (rec.writer == ctx.id() ? Ctx::kOwnedWrite : 0));
-  }
   charge_read(ctx, rec);
 }
 

@@ -19,7 +19,6 @@
 #include "tsx/config.hpp"
 #include "tsx/line_table.hpp"
 #include "tsx/telemetry.hpp"
-#include "tsx/trace.hpp"
 #include "tsx/tx_context.hpp"
 
 namespace elision::tsx {
@@ -29,7 +28,6 @@ class Engine {
   explicit Engine(sim::Scheduler& sched, TsxConfig config = {});
 
   const TsxConfig& config() const { return config_; }
-  TsxConfig& mutable_config() { return config_; }
 
   // Returns (creating on first use) the transaction context of a thread.
   TxContext& context(sim::SimThread& t);
@@ -90,12 +88,6 @@ class Engine {
   // bit-identically across processes. See LineTable::seq_of.
   std::uint64_t line_seq(support::LineId line) { return table_.seq_of(line); }
 
-  // Optional event tracing (nullptr disables; no cost when off).
-  // Deprecated in favour of the Telemetry sink below; kept for existing
-  // tests and tools.
-  void set_trace(Trace* trace) { trace_ = trace; }
-  Trace* trace() { return trace_; }
-
   // Abort-telemetry sink (nullptr disables; the hot path then pays one
   // predictable branch per protocol event, and nothing when compiled out
   // with ELISION_TELEMETRY_DISABLED).
@@ -122,17 +114,13 @@ class Engine {
  private:
   // --- transactional paths ---
   // Split into an inline tier (defined below the class; it resolves the
-  // write-buffer, elision-illusion and owned-line hits without leaving the
-  // caller) and an out-of-line slow half that does the table lookup,
-  // conflict detection and set bookkeeping. The split is what lets every
-  // simulated access start without a function call: load()/store() compile
-  // into the workload's own loop.
+  // write-buffer and elision-illusion hits without leaving the caller) and an
+  // out-of-line slow half that does the table lookup, conflict detection and
+  // set bookkeeping.
   std::uint64_t tx_load(Ctx& ctx, const void* addr);
   void tx_store(Ctx& ctx, void* addr, std::uint64_t value);
-  std::uint64_t tx_load_slow(Ctx& ctx, const void* addr, std::uintptr_t key,
-                             support::LineId line, TxContext::CachedLine& cl);
-  void tx_store_slow(Ctx& ctx, std::uint64_t value, std::uintptr_t key,
-                     support::LineId line, TxContext::CachedLine& cl);
+  std::uint64_t tx_load_slow(Ctx& ctx, const void* addr, std::uintptr_t key);
+  void tx_store_slow(Ctx& ctx, void* addr, std::uint64_t value);
 
   // --- direct (non-transactional) paths ---
   std::uint64_t direct_load(Ctx& ctx, const void* addr);
@@ -186,18 +174,16 @@ class Engine {
   TsxConfig config_;
   const sim::CostModel& cost_;
   LineTable table_;
-  Trace* trace_ = nullptr;
   Telemetry* telemetry_ = nullptr;
   std::vector<std::unique_ptr<TxContext>> contexts_;  // indexed by thread id
 };
 
 // ---------------------------------------------------------------------------
-// Per-access fast path. Inline so a workload's access loop compiles the hit
-// tiers — write-buffer word, elision illusion, owned line — down to a few
-// compares with no call; only a miss drops into the out-of-line slow half.
-// Every tier charges exactly the ticks and draws exactly the RNG values the
-// slow path would, so simulated results do not depend on which tier serves
-// an access (docs/simulator.md, "The per-access fast path").
+// Per-access entry points. Inline so a workload's access loop resolves the
+// write-buffer word and the elision illusion with no call; every other
+// access goes to the out-of-line half, which finds the line's record through
+// the context's LineTable::Cache memo (docs/simulator.md, "The per-access
+// fast path").
 // ---------------------------------------------------------------------------
 
 inline void Engine::poll(Ctx& ctx) {
@@ -227,46 +213,13 @@ inline std::uint64_t Engine::tx_load(Ctx& ctx, const void* addr) {
     ctx.thread().tick(cost_.l1_hit + cost_.access_compute);
     return ctx.elided_illusion_;
   }
-  const support::LineId line = support::line_of(addr);
-  TxContext::CachedLine& cl = ctx.line_cache_for(line);
-  if (cl.ref.line == line && (cl.owned & TxContext::kOwnedRead) != 0 &&
-      cl.owned_epoch == ctx.own_epoch_) {
-    // Owned-line fast path: our reader bit is held and no foreign writer
-    // can coexist with it, so the slow path would charge an L1 hit and
-    // perform only idempotent bookkeeping. (key != elided_addr_ here: the
-    // illusion check above already returned for the lock word itself.)
-    if (ctx.elided_ && line == ctx.elided_line_) [[unlikely]] {
-      ctx.lock_line_data_accessed_ = true;
-    }
-    ++ctx.stats_.fp_owned_hits;
-    const std::uint64_t value = read_word(addr);
-    ctx.thread().tick(cost_.l1_hit + cost_.access_compute);
-    return value;
-  }
-  return tx_load_slow(ctx, addr, key, line, cl);
+  return tx_load_slow(ctx, addr, key);
 }
 
 inline void Engine::tx_store(Ctx& ctx, void* addr, std::uint64_t value) {
   poll(ctx);
   spurious_check(ctx, config_.spurious_per_access);
-  const auto key = reinterpret_cast<std::uintptr_t>(addr);
-  const support::LineId line = support::line_of(addr);
-  TxContext::CachedLine& cl = ctx.line_cache_for(line);
-  if (cl.ref.line == line && (cl.owned & TxContext::kOwnedWrite) != 0 &&
-      cl.owned_epoch == ctx.own_epoch_) {
-    // Owned-line fast path: our writer slot is held, so the line is already
-    // exclusive and dirty for us (any foreign access since we took it would
-    // have abort-marked us, caught by poll() above) — the slow path would
-    // skip its first-store block and charge an L1 hit.
-    if (ctx.elided_ && key == ctx.elided_addr_) [[unlikely]] {
-      ctx.lock_line_data_accessed_ = true;
-    }
-    ++ctx.stats_.fp_owned_hits;
-    ctx.wbuf_.put(key, value);
-    ctx.thread().tick(cost_.l1_hit + cost_.access_compute);
-    return;
-  }
-  tx_store_slow(ctx, value, key, line, cl);
+  tx_store_slow(ctx, addr, value);
 }
 
 inline std::uint64_t Engine::load(Ctx& ctx, const void* addr) {

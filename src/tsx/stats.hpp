@@ -15,15 +15,6 @@ struct TxStats {
   std::array<std::uint64_t, static_cast<std::size_t>(AbortCause::kCauseCount)>
       aborts_by_cause{};
 
-  // Per-access fast-path telemetry (host-side observability only; neither
-  // counter feeds back into the simulation). `fp_owned_hits` counts accesses
-  // served entirely from the context's owned-line cache;
-  // `fp_probe_skips` counts slow-path lookups whose (line -> slot) memo was
-  // validated by the table's generation stamp, replacing a hash probe with
-  // one indexed load.
-  std::uint64_t fp_owned_hits = 0;
-  std::uint64_t fp_probe_skips = 0;
-
   void record_abort(AbortCause cause) {
     ++aborts;
     ++aborts_by_cause[static_cast<std::size_t>(cause)];
@@ -36,8 +27,6 @@ struct TxStats {
     for (std::size_t i = 0; i < aborts_by_cause.size(); ++i) {
       aborts_by_cause[i] += o.aborts_by_cause[i];
     }
-    fp_owned_hits += o.fp_owned_hits;
-    fp_probe_skips += o.fp_probe_skips;
     return *this;
   }
 };

@@ -17,8 +17,8 @@
 //    synchronization; "per-thread" rings exist to bound memory fairly and
 //    to keep per-thread event order trivially reconstructible.
 //
-// The older tsx::Trace (trace.hpp) remains as a thin, unbounded event log
-// for existing tests; new code should prefer Telemetry.
+// This is the engine's only event log: tests and examples that want a
+// begin/commit/abort story attach a Telemetry sink and filter its events.
 #pragma once
 
 #include <cstddef>

@@ -102,36 +102,14 @@ class TxContext {
   // Buffered transactional writes (word granularity; published at commit).
   support::WordMap wbuf_;
 
-  // Per-access fast-path state: a small direct-mapped cache of per-line
-  // memos, indexed by the low bits of the line id.
-  //
-  // Each entry carries two independent layers:
-  //  - `ref` memoizes the line's record pointer. It is validated by the
-  //    table's generation stamp on every use, so it needs no invalidation
-  //    here; record pointers survive index growth by construction and
-  //    clear() invalidates them via the stamp.
-  //  - `owned` caches the fact that this context holds the line's reader bit
-  //    (kOwnedRead) and/or writer slot (kOwnedWrite) *and* no foreign writer
-  //    can coexist with that ownership. While it holds, a repeat access is a
-  //    guaranteed L1 hit whose slow-path side effects are all idempotent, so
-  //    the engine skips the table lookup and conflict checks entirely. The
-  //    bits are valid only while `owned_epoch` equals the context's
-  //    `own_epoch_`, which release_ownership() bumps on every commit and
-  //    abort (self or remote) — the only points where reader/writer
-  //    ownership is ever taken away.
+  // Per-access (line -> record) memos, direct-mapped by the low bits of the
+  // line id. Each is validated by the table's generation stamp on every use,
+  // so it needs no invalidation here: record pointers survive index growth
+  // by construction and clear() invalidates them via the stamp.
   static constexpr std::size_t kLineCacheWays = 64;
-  static constexpr std::uint8_t kOwnedRead = 1;
-  static constexpr std::uint8_t kOwnedWrite = 2;
-  struct CachedLine {
-    LineTable::Cache ref;
-    std::uint64_t owned_epoch = 0;  // matches own_epoch_ => owned is valid
-    std::uint8_t owned = 0;         // kOwnedRead | kOwnedWrite
-  };
-  std::array<CachedLine, kLineCacheWays> line_cache_{};
-  // Starts above every entry's owned_epoch so default entries are invalid.
-  std::uint64_t own_epoch_ = 1;
+  std::array<LineTable::Cache, kLineCacheWays> line_cache_{};
 
-  CachedLine& line_cache_for(support::LineId line) {
+  LineTable::Cache& line_cache_for(support::LineId line) {
     return line_cache_[static_cast<std::size_t>(line) & (kLineCacheWays - 1)];
   }
 

@@ -13,7 +13,7 @@
 #include "locks/schemes.hpp"
 #include "locks/ttas_lock.hpp"
 #include "tsx/shared.hpp"
-#include "tsx/trace.hpp"
+#include "tsx/telemetry.hpp"
 
 namespace elision {
 namespace {
@@ -193,15 +193,22 @@ TEST(GroupedScm, AvailableThroughSchemeRunner) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace
+// Execution trace (a Telemetry sink, filtered to transaction events)
 // ---------------------------------------------------------------------------
 
+std::size_t count_events(const tsx::Telemetry& t, tsx::EventKind kind) {
+  std::size_t n = 0;
+  for (const auto& e : t.merged()) n += e.kind == kind ? 1 : 0;
+  return n;
+}
+
 TEST(Trace, RecordsBeginCommitAbort) {
-  tsx::Trace trace;
+  if (!tsx::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  tsx::Telemetry telemetry;
   tsx::Shared<std::uint64_t> x(0);
   sim::Scheduler sched(quiet_machine());
   tsx::Engine eng(sched, quiet_tsx());
-  eng.set_trace(&trace);
+  eng.set_telemetry(&telemetry);
   sched.spawn([&](sim::SimThread& st) {
     auto& ctx = eng.context(st);
     for (int i = 0; i < 5; ++i) {
@@ -210,18 +217,23 @@ TEST(Trace, RecordsBeginCommitAbort) {
     eng.run_transaction(ctx, [&] { eng.xabort(ctx, 2); });
   });
   sched.run();
-  EXPECT_EQ(trace.count(tsx::TraceEvent::Kind::kBegin), 6u);
-  EXPECT_EQ(trace.count(tsx::TraceEvent::Kind::kCommit), 5u);
-  EXPECT_EQ(trace.count(tsx::TraceEvent::Kind::kAbort), 1u);
-  EXPECT_EQ(trace.count_aborts(tsx::AbortCause::kExplicit), 1u);
+  EXPECT_EQ(count_events(telemetry, tsx::EventKind::kTxBegin), 6u);
+  EXPECT_EQ(count_events(telemetry, tsx::EventKind::kTxCommit), 5u);
+  ASSERT_EQ(count_events(telemetry, tsx::EventKind::kTxAbort), 1u);
+  for (const auto& e : telemetry.merged()) {
+    if (e.kind == tsx::EventKind::kTxAbort) {
+      EXPECT_EQ(e.cause, tsx::AbortCause::kExplicit);
+    }
+  }
 }
 
 TEST(Trace, TimestampsAreMonotonicPerThread) {
-  tsx::Trace trace;
+  if (!tsx::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  tsx::Telemetry telemetry;
   tsx::Shared<std::uint64_t> x(0);
   sim::Scheduler sched(quiet_machine());
   tsx::Engine eng(sched, quiet_tsx());
-  eng.set_trace(&trace);
+  eng.set_telemetry(&telemetry);
   for (int t = 0; t < 3; ++t) {
     sched.spawn([&](sim::SimThread& st) {
       auto& ctx = eng.context(st);
@@ -231,21 +243,27 @@ TEST(Trace, TimestampsAreMonotonicPerThread) {
     });
   }
   sched.run();
-  std::vector<std::uint64_t> last(3, 0);
-  for (const auto& e : trace.events()) {
-    ASSERT_GE(e.thread, 0);
-    ASSERT_LT(e.thread, 3);
-    EXPECT_GE(e.timestamp, last[e.thread]);
-    last[e.thread] = e.timestamp;
+  // Each ring holds its thread's events in emission order.
+  ASSERT_EQ(telemetry.thread_count(), 3);
+  for (int t = 0; t < 3; ++t) {
+    const auto events = telemetry.ring(t).snapshot();
+    EXPECT_EQ(events.size(), 40u);  // 20 begins + 20 commits
+    std::uint64_t last = 0;
+    for (const auto& e : events) {
+      EXPECT_EQ(e.thread, t);
+      EXPECT_GE(e.timestamp, last);
+      last = e.timestamp;
+    }
   }
 }
 
 TEST(Trace, AbortEventsCarryConflictLocation) {
-  tsx::Trace trace;
+  if (!tsx::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  tsx::Telemetry telemetry;
   support::CacheAligned<tsx::Shared<std::uint64_t>> hot;
   sim::Scheduler sched(quiet_machine());
   tsx::Engine eng(sched, quiet_tsx());
-  eng.set_trace(&trace);
+  eng.set_telemetry(&telemetry);
   sched.spawn([&](sim::SimThread& st) {
     auto& ctx = eng.context(st);
     eng.run_transaction(ctx, [&] {
@@ -260,30 +278,28 @@ TEST(Trace, AbortEventsCarryConflictLocation) {
     hot.value.store(ctx, 1);
   });
   sched.run();
-  ASSERT_EQ(trace.count(tsx::TraceEvent::Kind::kAbort), 1u);
-  for (const auto& e : trace.events()) {
-    if (e.kind != tsx::TraceEvent::Kind::kAbort) continue;
+  ASSERT_EQ(count_events(telemetry, tsx::EventKind::kTxAbort), 1u);
+  for (const auto& e : telemetry.merged()) {
+    if (e.kind != tsx::EventKind::kTxAbort) continue;
     EXPECT_EQ(e.cause, tsx::AbortCause::kConflict);
-    EXPECT_EQ(e.conflict_line, support::line_of(&hot.value));
-    EXPECT_EQ(e.conflict_thread, 1);
+    EXPECT_EQ(e.line, support::line_of(&hot.value));
+    EXPECT_EQ(e.other_thread, 1);
   }
 }
 
 TEST(Trace, CsvDumpHasHeaderAndRows) {
-  tsx::Trace trace;
-  trace.record({.timestamp = 5,
-                .thread = 0,
-                .kind = tsx::TraceEvent::Kind::kBegin});
+  tsx::Telemetry telemetry;
+  telemetry.record(
+      {.timestamp = 5, .thread = 0, .kind = tsx::EventKind::kTxBegin});
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
-  trace.dump_csv(f);
+  telemetry.dump_csv(f);
   std::rewind(f);
   char line[128] = {};
   ASSERT_NE(std::fgets(line, sizeof line, f), nullptr);
-  EXPECT_STREQ(line,
-               "timestamp,thread,kind,cause,conflict_line,conflict_thread\n");
+  EXPECT_STREQ(line, "timestamp,thread,kind,cause,line,other_thread\n");
   ASSERT_NE(std::fgets(line, sizeof line, f), nullptr);
-  EXPECT_STREQ(line, "5,0,begin,none,0,-1\n");
+  EXPECT_STREQ(line, "5,0,tx-begin,none,0,-1\n");
   std::fclose(f);
 }
 

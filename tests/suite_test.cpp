@@ -269,10 +269,7 @@ SuiteResult tiny_result() {
       rec.metrics.latency = {{"get", 10, 100, 200, 300, 400},
                              {"put", 5, 150, 250, 350, 450}};
     }
-    if (i % 2 == 1) {
-      rec.metrics.fp_owned_hits = 11;
-      rec.metrics.fp_bound_recomputes = 13;
-    }
+    if (i % 2 == 1) rec.metrics.fp_bound_recomputes = 13;
     r.points.push_back(std::move(rec));
     ++i;
   }
