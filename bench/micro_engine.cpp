@@ -4,6 +4,8 @@
 // operation — the simulator's own overhead — not simulated latencies.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "ds/rbtree.hpp"
 #include "locks/region.hpp"
 #include "locks/ttas_lock.hpp"
@@ -179,6 +181,41 @@ void BM_TxRepeatRead(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_TxRepeatRead);
+
+// An abort round trip: begin, abort, roll back, and deliver the abort to
+// the transaction's caller. Reported as host ns per abort.
+template <typename Abort>
+void abort_round_trips(benchmark::State& state, Abort&& abort) {
+  constexpr int kAborts = 2000;
+  const auto start = std::chrono::steady_clock::now();
+  run_sim(state, kAborts, [&](tsx::Ctx& ctx) {
+    for (int i = 0; i < kAborts; ++i) {
+      benchmark::DoNotOptimize(
+          ctx.engine().run_transaction(ctx, [&] { abort(ctx); }));
+    }
+  });
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_abort"] =
+      elapsed.count() / static_cast<double>(state.iterations() * kAborts);
+}
+
+// The abort is raised in the transaction body, so it unwinds as a thrown
+// TxAbortException (a shallow throw: two frames).
+void BM_TxAbortUnwind(benchmark::State& state) {
+  abort_round_trips(state,
+                    [](tsx::Ctx& ctx) { ctx.engine().xabort(ctx, 1); });
+}
+BENCHMARK(BM_TxAbortUnwind);
+
+// The abort is raised inside an abort checkpoint, as in a region driver's
+// lock phase, so it returns by longjmp.
+void BM_TxAbortCheckpoint(benchmark::State& state) {
+  abort_round_trips(state, [](tsx::Ctx& ctx) {
+    ctx.engine().checkpoint(ctx, [&] { ctx.engine().xabort(ctx, 1); });
+  });
+}
+BENCHMARK(BM_TxAbortCheckpoint);
 
 void BM_FiberSwitch(benchmark::State& state) {
   // Two threads ping-ponging via strict earliest-first scheduling.

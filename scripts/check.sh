@@ -21,7 +21,8 @@
 # simulator slowdown are actually caught. A ThreadSanitizer build of the
 # parallel paths (parallel_test plus a threaded stress smoke) guards the
 # in-process fan-out itself, with the engine's fiber switches annotated via
-# the TSan fiber API.
+# the TSan fiber API; the same build runs abort_delivery_test, whose abort
+# checkpoints setjmp/longjmp on fiber stacks.
 # The ASan+UBSan ctest pass includes line_table_test's randomized
 # differential fuzz of the open-addressing LineTable against a
 # std::unordered_map reference, plus the wide-thread-mask paths
@@ -62,16 +63,21 @@ ctest --test-dir "$SAN_BUILD" --output-on-failure -j
 # ThreadSanitizer over the in-process parallel paths: the pool itself, the
 # per-run simulations fanned out across host threads (fiber switches are
 # annotated through the TSan fiber API), and a threaded stress smoke. Only
-# the two parallel-facing targets are built — everything else is identical
-# single-threaded code already covered above.
+# the parallel-facing targets are built — everything else is identical
+# single-threaded code already covered above — plus abort_delivery_test,
+# because abort checkpoints setjmp/longjmp on fiber stacks, which TSan
+# tracks per fiber.
 TSAN_BUILD=build-check-tsan
 cmake -B "$TSAN_BUILD" -S . -DELISION_WERROR=ON -DELISION_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$TSAN_BUILD" -j --target parallel_test stress_cli fastpath_test
+cmake --build "$TSAN_BUILD" -j --target parallel_test stress_cli fastpath_test \
+      abort_delivery_test
 "$TSAN_BUILD"/tests/parallel_test || {
   echo "check: parallel_test failed under ThreadSanitizer" >&2; exit 1; }
 "$TSAN_BUILD"/tests/fastpath_test || {
   echo "check: fastpath_test failed under ThreadSanitizer" >&2; exit 1; }
+"$TSAN_BUILD"/tests/abort_delivery_test || {
+  echo "check: abort_delivery_test failed under ThreadSanitizer" >&2; exit 1; }
 "$TSAN_BUILD"/tools/stress_cli --schemes HLE --locks TTAS --seeds 2 \
     --host-threads 4 --quiet || {
   echo "check: threaded stress smoke failed under ThreadSanitizer" >&2

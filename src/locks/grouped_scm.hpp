@@ -66,10 +66,7 @@ RegionResult grouped_scm_region(tsx::Ctx& ctx, MainLock& main, AuxBank& bank,
   for (;;) {
     ++r.attempts;
     const unsigned st = eng.run_transaction(ctx, [&] {
-      if (detail::mode_blocked(ctx, main, mode)) {
-        eng.xabort(ctx, kAbortCodeLockBusy);
-      }
-      body();
+      if (detail::subscribe_lock(ctx, main, mode)) body();
     });
     if (st == tsx::kCommitted) {
       r.speculative = true;

@@ -142,6 +142,22 @@ support::LineId lock_line_of(Lock& lock) {
   }
 }
 
+// The RTM-style schemes' lock subscription, called inside the transaction:
+// reads the lock (putting it in the read set) and XABORTs with
+// kAbortCodeLockBusy if it blocks this access mode. Runs as an abort
+// checkpoint; false means the transaction aborted, and the caller's
+// transaction body must return at once (run_transaction then reports the
+// abort status).
+template <typename Lock>
+bool subscribe_lock(tsx::Ctx& ctx, Lock& lock, AccessMode mode) {
+  auto& eng = ctx.engine();
+  return eng.checkpoint(ctx, [&] {
+           if (mode_blocked(ctx, lock, mode)) {
+             eng.xabort(ctx, kAbortCodeLockBusy);
+           }
+         }) == tsx::kCommitted;
+}
+
 // Longest randomized backoff wait: 2^32 cycles (~1.3 simulated seconds at
 // 3.4 GHz) — far beyond any useful backoff, but finite, so a pathological
 // backoff_base_cycles cannot stall a thread for a virtual eternity.
@@ -209,23 +225,34 @@ template <typename Lock>
 RegionResult hle_region(tsx::Ctx& ctx, Lock& lock, const RetryParams& params,
                         support::FunctionRef<void()> body,
                         AccessMode mode = AccessMode::kExclusive) {
+  auto& eng = ctx.engine();
   RegionResult r;
   int spec_failures = 0;
   for (;;) {
     ++r.attempts;
+    // The lock phases run as abort checkpoints, so an abort that lands in
+    // the lock (the avalanche: a PAUSE in a queue lock's spin, or the
+    // invalidation by a non-speculative enqueue) returns without
+    // unwinding. The body's aborts unwind.
+    ctx.set_mode(tsx::ElisionMode::kSpeculative);
+    unsigned st = tsx::kCommitted;
     try {
-      ctx.set_mode(tsx::ElisionMode::kSpeculative);
-      detail::mode_lock(ctx, lock, mode);
-      body();
-      detail::mode_unlock(ctx, lock, mode);  // the XRELEASE commits
-      ctx.set_mode(tsx::ElisionMode::kStandard);
-      r.speculative = true;
-      return r;
+      st = eng.checkpoint(ctx, [&] { detail::mode_lock(ctx, lock, mode); });
+      if (st == tsx::kCommitted) {
+        body();
+        // The XRELEASE commits.
+        st = eng.checkpoint(ctx,
+                            [&] { detail::mode_unlock(ctx, lock, mode); });
+      }
     } catch (const tsx::TxAbortException& e) {
-      // rolled back by the engine
-      r.last_abort = e.cause;
+      st = e.status;
     }
     ctx.set_mode(tsx::ElisionMode::kStandard);
+    if (st == tsx::kCommitted) {
+      r.speculative = true;
+      return r;
+    }
+    r.last_abort = ctx.last_abort_cause();  // rolled back by the engine
     ++spec_failures;
     if (complete_standard(ctx, lock, r, body, mode)) return r;
     if (params.max_spec_attempts > 0 &&
@@ -264,10 +291,7 @@ RegionResult rtm_elide_region(tsx::Ctx& ctx, Lock& lock,
       // access mode (lock elision via RTM; no illusion of holding the
       // lock). In shared mode only a writer blocks — the speculative reader
       // coexists with real readers.
-      if (detail::mode_blocked(ctx, lock, mode)) {
-        eng.xabort(ctx, kAbortCodeLockBusy);
-      }
-      body();
+      if (detail::subscribe_lock(ctx, lock, mode)) body();
     });
     if (st == tsx::kCommitted) {
       r.speculative = true;

@@ -49,18 +49,20 @@ RegionResult scm_region(tsx::Ctx& ctx, MainLock& main, AuxLock& aux,
       st = eng.run_transaction(ctx, [&] {
         ctx.set_mode(tsx::ElisionMode::kSpeculative);
         // HLE acquire (exclusive or shared) nested in the RTM transaction;
-        // the XRELEASE validates the elision.
-        detail::mode_lock(ctx, main, mode);
+        // the XRELEASE validates the elision. As in hle_region, both lock
+        // phases are abort checkpoints; after an abort in the acquire the
+        // body must not run.
+        if (eng.checkpoint(ctx, [&] { detail::mode_lock(ctx, main, mode); }) !=
+            tsx::kCommitted) {
+          return;
+        }
         body();
-        detail::mode_unlock(ctx, main, mode);
+        eng.checkpoint(ctx, [&] { detail::mode_unlock(ctx, main, mode); });
       });
       ctx.set_mode(tsx::ElisionMode::kStandard);
     } else {
       st = eng.run_transaction(ctx, [&] {
-        if (detail::mode_blocked(ctx, main, mode)) {
-          eng.xabort(ctx, kAbortCodeLockBusy);
-        }
-        body();
+        if (detail::subscribe_lock(ctx, main, mode)) body();
       });
     }
     if (st == tsx::kCommitted) {

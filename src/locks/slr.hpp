@@ -38,10 +38,9 @@ RegionResult slr_region(tsx::Ctx& ctx, MainLock& main, AuxLock& aux,
     const unsigned st = eng.run_transaction(ctx, [&] {
       body();
       // Lock removal: consult the lock only at commit time. In shared mode
-      // only a writer blocks the commit.
-      if (detail::mode_blocked(ctx, main, mode)) {
-        eng.xabort(ctx, kAbortCodeLockBusy);
-      }
+      // only a writer blocks the commit. Nothing follows the check, so its
+      // result needs no test: run_transaction sees an abort either way.
+      detail::subscribe_lock(ctx, main, mode);
     });
     if (st == tsx::kCommitted) {
       r.speculative = true;

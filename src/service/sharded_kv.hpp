@@ -388,8 +388,9 @@ class ShardedKvT {
       ++r.attempts;
       const unsigned st = eng.run_transaction(ctx, [&] {
         for (int i = 0; i < n; ++i) {
-          if (sh[i]->lock.is_held(ctx)) {
-            eng.xabort(ctx, locks::kAbortCodeLockBusy);
+          if (!locks::detail::subscribe_lock(ctx, sh[i]->lock,
+                                             locks::AccessMode::kExclusive)) {
+            return;
           }
         }
         body();

@@ -1,6 +1,9 @@
 #include "tsx/engine.hpp"
 
+#include <csetjmp>
 #include <utility>
+
+#include "support/inline.hpp"
 
 namespace elision::tsx {
 
@@ -82,8 +85,8 @@ void Engine::release_ownership(Ctx& ctx) {
   ctx.l1_set_occupancy_.fill(0);
 }
 
-void Engine::rollback_and_throw(Ctx& ctx, AbortCause cause,
-                                std::uint8_t code) {
+void Engine::rollback_and_deliver(Ctx& ctx, AbortCause cause,
+                                  std::uint8_t code) {
   // Speculatively written lines are discarded from the owner's cache, as a
   // hardware abort invalidates them.
   for (LineRecord* rec : ctx.write_lines_) {
@@ -124,12 +127,42 @@ void Engine::rollback_and_throw(Ctx& ctx, AbortCause cause,
     }
   }
   ctx.thread().tick(cost_.abort_penalty);
+  ctx.last_abort_status_ = st;
+  if (std::jmp_buf* cp = ctx.checkpoint_) {
+    ctx.checkpoint_ = nullptr;
+    std::longjmp(*cp, 1);
+  }
   throw TxAbortException{st, cause};
+}
+
+// Out of line so the setjmp frame is this function's own: nothing in it is
+// live across the longjmp except `ctx`, which it never modifies, and the
+// status comes back through memory.
+ELISION_NOINLINE unsigned Engine::checkpoint(
+    Ctx& ctx, support::FunctionRef<void()> phase) {
+  if (ctx.nest_depth_ > 1) {
+    phase();
+    return kCommitted;
+  }
+  ELISION_DCHECK(ctx.checkpoint_ == nullptr);
+  std::jmp_buf env;
+  if (setjmp(env) != 0) return ctx.last_abort_status_;
+  ctx.checkpoint_ = &env;
+  try {
+    phase();
+  } catch (...) {
+    // Not an abort (those arrive by longjmp while armed): disarm so no later
+    // abort jumps into this dead frame.
+    ctx.checkpoint_ = nullptr;
+    throw;
+  }
+  ctx.checkpoint_ = nullptr;
+  return kCommitted;
 }
 
 void Engine::abort_self(Ctx& ctx, AbortCause cause, std::uint8_t code) {
   ELISION_DCHECK(ctx.in_tx());
-  rollback_and_throw(ctx, cause, code);
+  rollback_and_deliver(ctx, cause, code);
 }
 
 void Engine::abort_remote(int victim_id, AbortCause cause,
@@ -449,11 +482,12 @@ unsigned Engine::run_transaction(Ctx& ctx,
   try {
     begin_tx(ctx);
     body();
-    commit(ctx);
-    return kCommitted;
   } catch (const TxAbortException& e) {
     return e.status;
   }
+  // The body returned early after a checkpoint inside it took the abort.
+  if (!ctx.in_tx()) return ctx.last_abort_status_;
+  return checkpoint(ctx, [&] { commit(ctx); });
 }
 
 void Engine::xabort(Ctx& ctx, std::uint8_t code) {

@@ -65,8 +65,23 @@ class Engine {
   // ------------------------------------------------------------------
   // Runs `body` transactionally. Returns kCommitted on success, otherwise
   // the Intel-style abort status. Nested calls flatten into the outer
-  // transaction (aborts unwind to the outermost caller).
+  // transaction (aborts unwind to the outermost caller). A body may also
+  // return early after a checkpoint inside it took the abort; the status is
+  // then the one that checkpoint returned.
   unsigned run_transaction(Ctx& ctx, support::FunctionRef<void()> body);
+
+  // Runs `phase` as an abort checkpoint: an abort raised inside it rolls the
+  // transaction back as usual and then returns here by longjmp, with its
+  // status, instead of unwinding as a TxAbortException; kCommitted means
+  // the phase ran to completion. Region drivers wrap their lock code in
+  // checkpoints, because that is where avalanche aborts land.
+  //
+  // The longjmp skips the phase's frames, so no automatic object with a
+  // non-trivial destructor may be live in them ([csetjmp.syn]): engine and
+  // lock code only, never a user body. A checkpoint is armed only at
+  // nesting depth <= 1; inside a nested transaction the phase runs unarmed
+  // and its aborts throw to the outermost run_transaction.
+  unsigned checkpoint(Ctx& ctx, support::FunctionRef<void()> phase);
   [[noreturn]] void xabort(Ctx& ctx, std::uint8_t code);
   bool xtest(Ctx& ctx) const { return ctx.in_tx(); }
 
@@ -142,8 +157,10 @@ class Engine {
   void abort_readers(LineRecord& rec, support::LineId line, int except_id,
                      int requester_id);
   void release_ownership(Ctx& ctx);
-  [[noreturn]] void rollback_and_throw(Ctx& ctx, AbortCause cause,
-                                       std::uint8_t code);
+  // Rolls the transaction back, records the abort and delivers it: to the
+  // armed checkpoint if there is one, else as a TxAbortException.
+  [[noreturn]] void rollback_and_deliver(Ctx& ctx, AbortCause cause,
+                                         std::uint8_t code);
 
   void elide_begin(Ctx& ctx, void* addr, std::uint64_t illusion_value);
   bool elide_release(Ctx& ctx, std::uint64_t new_value);  // true: committed/ok
@@ -188,7 +205,7 @@ class Engine {
 
 inline void Engine::poll(Ctx& ctx) {
   if (ctx.state_ == TxState::kAbortMarked) [[unlikely]] {
-    rollback_and_throw(ctx, ctx.pending_cause_, 0);
+    rollback_and_deliver(ctx, ctx.pending_cause_, 0);
   }
 }
 

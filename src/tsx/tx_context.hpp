@@ -2,6 +2,7 @@
 #pragma once
 
 #include <array>
+#include <csetjmp>
 #include <cstdint>
 #include <vector>
 
@@ -88,6 +89,12 @@ class TxContext {
   AbortCause last_abort_cause_ = AbortCause::kNone;
   support::LineId pending_conflict_line_ = 0;
   int pending_conflict_thread_ = -1;
+  // Status word of this thread's most recent abort: what an abort
+  // checkpoint returns (Engine::checkpoint).
+  unsigned last_abort_status_ = 0;
+  // The armed abort checkpoint, or null. An abort with one armed returns
+  // through it by longjmp instead of throwing TxAbortException.
+  std::jmp_buf* checkpoint_ = nullptr;
 
   // Read set: records whose reader bit this tx holds in the line table.
   // Raw pointers are safe: records never move (chunked storage) and the

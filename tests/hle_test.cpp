@@ -10,6 +10,7 @@
 #include "locks/region.hpp"
 #include "locks/ttas_lock.hpp"
 #include "tsx/shared.hpp"
+#include "tsx/telemetry.hpp"
 
 namespace elision::tsx {
 namespace {
@@ -186,6 +187,213 @@ TEST(Hle, HleInsideRtmWorksWhenAllowed) {
   EXPECT_EQ(st, kCommitted);
   EXPECT_EQ(data.unsafe_get(), 42u);
   EXPECT_EQ(lock.unsafe_get(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Abort checkpoints (Engine::checkpoint)
+// ---------------------------------------------------------------------------
+
+// What a victim thread can observe after a conflict abort.
+struct AfterAbort {
+  unsigned status = 0;
+  bool continued = false;  // the aborted code ran on past the abort
+  bool in_tx = true;
+  AbortCause cause = AbortCause::kNone;
+  support::LineId conflict_line = 0;
+  int conflict_thread = -1;
+  std::uint64_t now = 0;
+  bool lock_line_read = true;  // reader bits
+  bool x_line_read = true;
+  int data_writer = 0;  // writer slot
+  std::uint64_t data_seen = 0;  // a fresh transaction's read of `data`
+  std::uint64_t data_in_memory = 0;
+  std::uint64_t lock_in_memory = 0;
+  int abort_events = 0;  // telemetry kTxAbort events of the victim
+  TelemetryEvent abort_event{};
+
+  friend bool operator==(const AfterAbort& a, const AfterAbort& b) {
+    return a.status == b.status && a.continued == b.continued &&
+           a.in_tx == b.in_tx && a.cause == b.cause &&
+           a.conflict_line == b.conflict_line &&
+           a.conflict_thread == b.conflict_thread && a.now == b.now &&
+           a.lock_line_read == b.lock_line_read &&
+           a.x_line_read == b.x_line_read && a.data_writer == b.data_writer &&
+           a.data_seen == b.data_seen &&
+           a.data_in_memory == b.data_in_memory &&
+           a.lock_in_memory == b.lock_in_memory &&
+           a.abort_events == b.abort_events &&
+           a.abort_event.timestamp == b.abort_event.timestamp &&
+           a.abort_event.line == b.abort_event.line &&
+           a.abort_event.other_thread == b.abort_event.other_thread &&
+           a.abort_event.cause == b.abort_event.cause;
+  }
+};
+
+// An HLE transaction elides `lock`, buffers a write to `data` and reads
+// `x`; a second thread then stores to `x` non-transactionally, and the
+// victim's next access takes the conflict abort — inside a checkpoint, or
+// thrown to a catch.
+AfterAbort conflict_abort(bool checkpointed) {
+  Shared<std::uint64_t> lock(0);
+  support::CacheAligned<Shared<std::uint64_t>> data, x;
+  Telemetry tel;
+  sim::Scheduler sched(quiet_machine());
+  Engine eng(sched, quiet_tsx());
+  eng.set_telemetry(&tel);
+  AfterAbort a;
+  int victim = -1;
+  sched.spawn([&](sim::SimThread& st) {
+    auto& ctx = eng.context(st);
+    victim = ctx.id();
+    const auto phase = [&] {
+      lock.xacquire_exchange(ctx, 1);
+      data.value.store(ctx, 5);
+      (void)x.value.load(ctx);
+      eng.compute(ctx, 2000);  // the other thread's store lands here
+      (void)x.value.load(ctx);
+      a.continued = true;
+    };
+    ctx.set_mode(ElisionMode::kSpeculative);
+    if (checkpointed) {
+      a.status = eng.checkpoint(ctx, phase);
+    } else {
+      try {
+        phase();
+        a.status = kCommitted;
+      } catch (const TxAbortException& e) {
+        a.status = e.status;
+      }
+    }
+    ctx.set_mode(ElisionMode::kStandard);
+    a.in_tx = ctx.in_tx();
+    a.cause = ctx.last_abort_cause();
+    a.conflict_line = ctx.last_conflict_line();
+    a.conflict_thread = ctx.last_conflict_thread();
+    a.now = st.now();
+    LineTable& t = eng.line_table();
+    a.lock_line_read =
+        t.find(support::line_of(&lock))->readers.test(ctx.id());
+    a.x_line_read =
+        t.find(support::line_of(&x.value))->readers.test(ctx.id());
+    a.data_writer = t.find(support::line_of(&data.value))->writer;
+    a.data_in_memory = data.value.unsafe_get();
+    a.lock_in_memory = lock.unsafe_get();
+    // A leftover write-buffer entry would show through here.
+    eng.run_transaction(ctx, [&] { a.data_seen = data.value.load(ctx); });
+  });
+  sched.spawn([&](sim::SimThread& st) {
+    auto& ctx = eng.context(st);
+    eng.compute(ctx, 500);
+    x.value.store(ctx, 9);
+  });
+  sched.run();
+  for (const TelemetryEvent& e : tel.merged()) {
+    if (e.kind == EventKind::kTxAbort && e.thread == victim) {
+      ++a.abort_events;
+      a.abort_event = e;
+    }
+  }
+  return a;
+}
+
+TEST(Checkpoint, AbortReturnsRolledBackLikeAThrownAbort) {
+  const AfterAbort thrown = conflict_abort(false);
+  const AfterAbort returned = conflict_abort(true);
+  EXPECT_TRUE(returned == thrown);
+  EXPECT_EQ(returned.status, status::kConflict | status::kRetry);
+  EXPECT_FALSE(returned.continued);
+  EXPECT_FALSE(returned.in_tx);
+  EXPECT_EQ(returned.cause, AbortCause::kConflict);
+  EXPECT_NE(returned.conflict_line, 0u);
+  EXPECT_EQ(returned.conflict_thread, 1);
+  EXPECT_FALSE(returned.lock_line_read);
+  EXPECT_FALSE(returned.x_line_read);
+  EXPECT_EQ(returned.data_writer, kNoThread);
+  EXPECT_EQ(returned.data_seen, 0u);
+  EXPECT_EQ(returned.data_in_memory, 0u);
+  EXPECT_EQ(returned.lock_in_memory, 0u);
+  if constexpr (kTelemetryCompiled) {
+    EXPECT_EQ(returned.abort_events, 1);
+    EXPECT_EQ(returned.abort_event.cause, AbortCause::kConflict);
+    EXPECT_EQ(returned.abort_event.line, returned.conflict_line);
+    EXPECT_EQ(returned.abort_event.other_thread, 1);
+  }
+}
+
+TEST(Checkpoint, ZeroStatusAbortIsNotACommit) {
+  // An HLE mismatch carries status 0, like Haswell's.
+  Shared<std::uint64_t> lock(0);
+  unsigned st = kCommitted;
+  AbortCause cause = AbortCause::kNone;
+  run_threads({[&](Ctx& ctx) {
+    ctx.set_mode(ElisionMode::kSpeculative);
+    st = ctx.engine().checkpoint(ctx, [&] {
+      lock.xacquire_exchange(ctx, 1);
+      lock.xrelease_store(ctx, 2);
+    });
+    ctx.set_mode(ElisionMode::kStandard);
+    cause = ctx.last_abort_cause();
+  }});
+  EXPECT_EQ(st, 0u);
+  EXPECT_EQ(cause, AbortCause::kHleMismatch);
+}
+
+TEST(Checkpoint, DisarmedAfterThePhaseCompletes) {
+  Shared<std::uint64_t> lock(0);
+  unsigned st = 0;
+  bool threw = false;
+  run_threads({[&](Ctx& ctx) {
+    auto& eng = ctx.engine();
+    ctx.set_mode(ElisionMode::kSpeculative);
+    st = eng.checkpoint(ctx, [&] { lock.xacquire_exchange(ctx, 1); });
+    EXPECT_TRUE(eng.xtest(ctx));
+    try {
+      eng.xabort(ctx, 3);  // a body abort after the phase
+    } catch (const TxAbortException& e) {
+      threw = true;
+      EXPECT_EQ(e.cause, AbortCause::kExplicit);
+      EXPECT_EQ(status::code_of(e.status), 3);
+    }
+    ctx.set_mode(ElisionMode::kStandard);
+  }});
+  EXPECT_EQ(st, kCommitted);
+  EXPECT_TRUE(threw);
+}
+
+TEST(Checkpoint, BodyReturnsEarlyAndRunTransactionReportsTheAbort) {
+  unsigned st = kCommitted;
+  bool returned_early = false;
+  run_threads({[&](Ctx& ctx) {
+    auto& eng = ctx.engine();
+    st = eng.run_transaction(ctx, [&] {
+      if (eng.checkpoint(ctx, [&] { eng.xabort(ctx, 4); }) != kCommitted) {
+        returned_early = true;
+      }
+    });
+    EXPECT_FALSE(eng.xtest(ctx));
+  }});
+  EXPECT_TRUE(returned_early);
+  EXPECT_EQ(st, status::with_code(status::kExplicit | status::kRetry, 4));
+}
+
+TEST(Checkpoint, NestedAbortReachesTheOutermostTransaction) {
+  unsigned st = kCommitted;
+  bool inner_continued = false;
+  bool outer_continued = false;
+  run_threads({[&](Ctx& ctx) {
+    auto& eng = ctx.engine();
+    st = eng.run_transaction(ctx, [&] {
+      eng.run_transaction(ctx, [&] {
+        eng.checkpoint(ctx, [&] { eng.xabort(ctx, 9); });
+        inner_continued = true;
+      });
+      outer_continued = true;
+    });
+  }});
+  EXPECT_FALSE(inner_continued);
+  EXPECT_FALSE(outer_continued);
+  EXPECT_EQ(st, status::with_code(
+                    status::kExplicit | status::kRetry | status::kNested, 9));
 }
 
 // ---------------------------------------------------------------------------
