@@ -16,7 +16,9 @@
 # baseline (bench/baseline.json), checks that `bench_suite --list` shows the
 # registry's real point fields, re-runs the tier with --jobs 2
 # --host-threads 2 (in-process pool) to prove parallel execution reproduces
-# the sequential results bit-for-bit (modulo host wall-time fields), and
+# the sequential results bit-for-bit (modulo host wall-time fields; the
+# scheduler's fastpath work counters, bound recomputes and decisions, are
+# compared with everything else), and
 # self-checks that a planted 50% throughput regression and a planted 5x
 # simulator slowdown are actually caught. A ThreadSanitizer build of the
 # parallel paths (parallel_test plus a threaded stress smoke) guards the
@@ -428,8 +430,14 @@ for doc in (seq, thr):
     for p in doc["points"]:
         del p["metrics"]["sim_ops_per_sec"], p["metrics"]["wall_ms"]
 assert seq == thr, "parallel run diverged from sequential run"
+# The scheduler's work counters are part of that identity: both fastpath
+# counters (bound recomputes and scheduling decisions) must be there.
+fastpath = [p["metrics"]["fastpath"] for p in seq["points"]
+            if "fastpath" in p["metrics"]]
+assert fastpath and all(set(f) == {"bound_recomputes", "switches"}
+                        for f in fastpath), "fastpath counters missing"
 print("bench suite: --jobs 2 --host-threads 2 reproduces the sequential"
-      " results exactly")
+      " results exactly, fastpath bound_recomputes and switches included")
 EOF
 
 # Gate self-checks: a planted 50% throughput regression and a planted 5x

@@ -101,6 +101,7 @@ RunStats run_micro_point(const MicroPoint& p) {
   out.elapsed_cycles = sched.elapsed_cycles();
   out.tx = engine.total_stats();
   out.fp_bound_recomputes = sched.switch_bound_recomputes();
+  out.fp_switches = sched.switch_count();
   for (const PerThread& a : acc) {
     out.ops += a.ops;
     out.spec_ops += a.spec_ops;

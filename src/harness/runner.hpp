@@ -84,6 +84,10 @@ struct RunStats {
   // schedule alone, so it reproduces across processes like any simulated
   // counter; it never feeds back into the simulation.
   std::uint64_t fp_bound_recomputes = 0;
+  // Scheduling decisions the run took (Scheduler::switch_count(): yields,
+  // parks and finishes, whether or not they switched fibers). Like
+  // fp_bound_recomputes, a function of the schedule alone.
+  std::uint64_t fp_switches = 0;
   std::vector<SlotStats> timeline;
 
   // Always collected (host-side, one Histogram::add per completed region).

@@ -551,11 +551,12 @@ std::vector<std::string> list_cells(const SuitePoint& sp) {
     if (f.column == nullptr) return;
     for (std::size_t c = 0; c < cells.size(); ++c) {
       if (std::string_view(f.column) != kListColumns[c]) continue;
-      cells[c] += (cells[c].empty() ? "" : "-") + text(value);
+      if (!cells[c].empty()) cells[c] += '-';
+      cells[c] += text(value);
     }
   });
   for (auto& cell : cells) {
-    if (cell.empty()) cell = "-";
+    if (cell.empty()) cell.push_back('-');
   }
   return cells;
 }
@@ -590,6 +591,7 @@ PointMetrics PointMetrics::derive(const RunStats& stats) {
                          ol.hist.max()});
   }
   m.fp_bound_recomputes = stats.fp_bound_recomputes;
+  m.fp_switches = stats.fp_switches;
   return m;
 }
 
@@ -716,9 +718,12 @@ void write_point_json(const PointRecord& r, std::FILE* out) {
     }
     std::fprintf(out, "},");
   }
-  if (m.fp_bound_recomputes != 0) {
-    std::fprintf(out, "\"fastpath\":{\"bound_recomputes\":%llu},",
-                 static_cast<unsigned long long>(m.fp_bound_recomputes));
+  if (m.fp_bound_recomputes != 0 || m.fp_switches != 0) {
+    std::fprintf(out,
+                 "\"fastpath\":{\"bound_recomputes\":%llu,"
+                 "\"switches\":%llu},",
+                 static_cast<unsigned long long>(m.fp_bound_recomputes),
+                 static_cast<unsigned long long>(m.fp_switches));
   }
   std::fprintf(out, "\"sim_ops_per_sec\":%.3f,\"wall_ms\":%.3f}}",
                m.sim_ops_per_sec, m.wall_ms);
@@ -795,6 +800,7 @@ PointMetrics parse_metrics(const Value* metrics) {
     }
   }
   m.fp_bound_recomputes = u64(metrics->find("fastpath"), "bound_recomputes");
+  m.fp_switches = u64(metrics->find("fastpath"), "switches");
   m.sim_ops_per_sec = num(metrics, "sim_ops_per_sec");
   m.wall_ms = num(metrics, "wall_ms");
   return m;

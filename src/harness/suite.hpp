@@ -119,11 +119,13 @@ struct PointMetrics {
     std::uint64_t max_cycles = 0;
   };
   std::vector<OpLatencySummary> latency;
-  // Switch-bound recomputes of the scheduler's batching fast path
-  // (docs/simulator.md). Schedule-determined, so identical across processes
-  // like every field above; it feeds no simulated metric. Emitted in JSON as
-  // an optional "fastpath" object only when non-zero.
+  // Switch-bound recomputes of the scheduler's batching fast path and the
+  // scheduler's decision count (docs/simulator.md). Schedule-determined, so
+  // identical across processes like every field above; they feed no
+  // simulated metric. Emitted in JSON as an optional "fastpath" object only
+  // when non-zero.
   std::uint64_t fp_bound_recomputes = 0;
+  std::uint64_t fp_switches = 0;
   // Host-side speed: simulated ops completed per host wall second and the
   // point's host wall time. These are the only non-deterministic fields of a
   // point (everything above is virtual-time data, identical per seed).

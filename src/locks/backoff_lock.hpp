@@ -22,7 +22,7 @@ class BackoffTtasLock {
   void lock(tsx::Ctx& ctx) {
     std::uint64_t delay = kMinDelay;
     for (;;) {
-      while (word_.value.load(ctx) != 0) ctx.engine().pause(ctx);
+      wait_unheld(ctx);
       if (word_.value.xacquire_exchange(ctx, 1) == 0) return;
       backoff(ctx, &delay);
     }
@@ -31,6 +31,10 @@ class BackoffTtasLock {
   void unlock(tsx::Ctx& ctx) { word_.value.xrelease_store(ctx, 0); }
 
   bool is_held(tsx::Ctx& ctx) { return word_.value.load(ctx) != 0; }
+  // Spins until is_held() reads false (also the region drivers' wait).
+  void wait_unheld(tsx::Ctx& ctx) {
+    word_.value.spin_until(ctx, [](std::uint64_t v) { return v == 0; });
+  }
 
   bool reissue_acquire_standard(tsx::Ctx& ctx) {
     // Back off before re-issuing the store: the Dice et al. mitigation.

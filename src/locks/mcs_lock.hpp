@@ -34,7 +34,7 @@ class McsLock {
     QNode* pred = tail_.value.xacquire_exchange(ctx, &my);
     if (pred != nullptr) {
       pred->next.store(ctx, &my);
-      while (my.locked.load(ctx) != 0) ctx.engine().pause(ctx);
+      my.locked.spin_until(ctx, [](std::uint64_t v) { return v == 0; });
     }
   }
 
@@ -42,12 +42,16 @@ class McsLock {
     QNode& my = nodes_[static_cast<std::size_t>(ctx.id())];
     if (my.next.load(ctx) == nullptr) {
       if (tail_.value.xrelease_compare_exchange(ctx, &my, nullptr)) return;
-      while (my.next.load(ctx) == nullptr) ctx.engine().pause(ctx);
+      my.next.spin_until(ctx, [](QNode* n) { return n != nullptr; });
     }
     my.next.load(ctx)->locked.store(ctx, 0);
   }
 
   bool is_held(tsx::Ctx& ctx) { return tail_.value.load(ctx) != nullptr; }
+  // Spins until is_held() reads false (the region drivers' wait).
+  void wait_unheld(tsx::Ctx& ctx) {
+    tail_.value.spin_until(ctx, [](QNode* t) { return t == nullptr; });
+  }
 
   // Cache line of the elidable lock word (telemetry tagging).
   support::LineId lock_line() const { return support::line_of(&tail_.value); }

@@ -131,6 +131,26 @@ bool mode_blocked(tsx::Ctx& ctx, Lock& lock, AccessMode mode) {
   return lock.is_held(ctx);
 }
 
+// Spins until mode_blocked() reads false. A lock whose blocked test reads
+// one word provides the wait itself (wait_unheld, wait_write_unlocked) as a
+// Shared<T>::spin_until, so a steady waiter parks; the others poll.
+template <typename Lock>
+void wait_unblocked(tsx::Ctx& ctx, Lock& lock, AccessMode mode) {
+  if constexpr (requires { lock.wait_write_unlocked(ctx); }) {
+    if (mode == AccessMode::kShared) {
+      lock.wait_write_unlocked(ctx);
+      return;
+    }
+  }
+  if constexpr (requires { lock.wait_unheld(ctx); }) {
+    if (mode == AccessMode::kExclusive) {
+      lock.wait_unheld(ctx);
+      return;
+    }
+  }
+  while (mode_blocked(ctx, lock, mode)) ctx.engine().pause(ctx);
+}
+
 // Locks exposing their elidable word's cache line (lock_line()) let
 // telemetry tag lock events with it; others report 0 (unknown).
 template <typename Lock>
@@ -260,7 +280,7 @@ RegionResult hle_region(tsx::Ctx& ctx, Lock& lock, const RetryParams& params,
       // Speculation budget exhausted: stop re-entering it and wait for the
       // standard re-acquisition to succeed.
       for (;;) {
-        while (detail::mode_blocked(ctx, lock, mode)) ctx.engine().pause(ctx);
+        detail::wait_unblocked(ctx, lock, mode);
         if (complete_standard(ctx, lock, r, body, mode)) return r;
       }
     }
@@ -303,12 +323,12 @@ RegionResult rtm_elide_region(tsx::Ctx& ctx, Lock& lock,
     if (params.max_spec_attempts > 0 &&
         spec_failures >= params.max_spec_attempts) {
       for (;;) {
-        while (detail::mode_blocked(ctx, lock, mode)) eng.pause(ctx);
+        detail::wait_unblocked(ctx, lock, mode);
         if (complete_standard(ctx, lock, r, body, mode)) return r;
       }
     }
     detail::backoff(ctx, params, spec_failures);
-    while (detail::mode_blocked(ctx, lock, mode)) eng.pause(ctx);
+    detail::wait_unblocked(ctx, lock, mode);
   }
 }
 

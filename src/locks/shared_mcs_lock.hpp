@@ -43,7 +43,7 @@ class SharedMcsLock {
     // fetch_adds suffice; transient reader entries (optimistic entries that
     // back out) only touch the reader-count line.
     word().fetch_add(ctx, rw::kPendingUnit);
-    while (readers().load(ctx) != 0) ctx.engine().pause(ctx);
+    readers().spin_until(ctx, [](std::uint64_t n) { return n == 0; });
     word().fetch_add(ctx, rw::kWriter - rw::kPendingUnit);
   }
 
@@ -75,6 +75,8 @@ class SharedMcsLock {
   bool is_write_locked(tsx::Ctx& ctx) {
     return (word().load(ctx) & rw::kReaderBlockMask) != 0;
   }
+  // Spins until is_write_locked() reads false (the region drivers' wait).
+  void wait_write_unlocked(tsx::Ctx& ctx) { rw::wait_readable(ctx, word()); }
 
   // Cache line of the reader-writer word (telemetry tagging; the word is
   // what real acquisitions invalidate in the speculating crowd).

@@ -92,6 +92,8 @@ class SharedTtasLock {
   bool is_write_locked(tsx::Ctx& ctx) {
     return (word().load(ctx) & rw::kReaderBlockMask) != 0;
   }
+  // Spins until is_write_locked() reads false (the region drivers' wait).
+  void wait_write_unlocked(tsx::Ctx& ctx) { rw::wait_readable(ctx, word()); }
 
   // Cache line of the elidable lock word (telemetry tagging).
   support::LineId lock_line() const { return support::line_of(&word_.value); }

@@ -33,7 +33,8 @@ class BasicTicketLock {
     // implementation the paper references.
     const std::uint64_t current = word_.value.next.xacquire_fetch_add(ctx, 1);
     current_[static_cast<std::size_t>(ctx.id())] = current;
-    while (word_.value.owner.load(ctx) != current) ctx.engine().pause(ctx);
+    word_.value.owner.spin_until(
+        ctx, [current](std::uint64_t v) { return v == current; });
   }
 
   void unlock(tsx::Ctx& ctx) {

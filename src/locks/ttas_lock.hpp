@@ -20,25 +20,23 @@ class TtasLock {
   static constexpr bool kIsFair = false;
 
   void lock(tsx::Ctx& ctx) {
-    bool first_observation = true;
-    for (;;) {
-      for (;;) {
-        const std::uint64_t v = word_.value.load(ctx);
-        if (first_observation) {
-          first_observation = false;
-          ++arrivals_;
-          if (v != 0) ++arrivals_lock_held_;
-        }
-        if (v == 0) break;
-        ctx.engine().pause(ctx);
-      }
-      if (word_.value.xacquire_exchange(ctx, 1) == 0) return;
+    const std::uint64_t v = word_.value.load(ctx);
+    ++arrivals_;
+    if (v != 0) {
+      ++arrivals_lock_held_;
+      ctx.engine().pause(ctx);
+      wait_unheld(ctx);
     }
+    while (word_.value.xacquire_exchange(ctx, 1) != 0) wait_unheld(ctx);
   }
 
   void unlock(tsx::Ctx& ctx) { word_.value.xrelease_store(ctx, 0); }
 
   bool is_held(tsx::Ctx& ctx) { return word_.value.load(ctx) != 0; }
+  // Spins until is_held() reads false (also the region drivers' wait).
+  void wait_unheld(tsx::Ctx& ctx) {
+    word_.value.spin_until(ctx, [](std::uint64_t v) { return v == 0; });
+  }
 
   // Cache line of the elidable lock word (telemetry tagging).
   support::LineId lock_line() const { return support::line_of(&word_.value); }

@@ -17,16 +17,24 @@
 // quadratic. The hyperthreading multiplier is a per-core value maintained
 // at spawn/finish instead of an O(threads) sibling scan per advance.
 //
+// Spin-waits: a thread in a steady `while (!done(load(word))) pause();` loop
+// parks off the fiber schedule (spin()). The scheduler then advances its
+// clock in closed form, exactly as the loop would have run, and puts it back
+// in the ready queue when its line is written (wake_if()). See
+// docs/simulator.md, "Spin-waits".
+//
 // Usage:
 //   Scheduler sched(config);
 //   sched.spawn([&](SimThread& t) { ... t.advance(c); t.maybe_yield(); ... });
 //   sched.run_for(config.cycles(0.010));   // 10 simulated milliseconds
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/fiber.hpp"
@@ -39,6 +47,14 @@
 namespace elision::sim {
 
 class Scheduler;
+
+// The next action of a spin-wait loop `while (!done(load(word))) pause();`,
+// which alternates the two. Indexes Scheduler's per-spinner step costs.
+enum class SpinPhase : std::uint8_t { kLoad = 0, kPause = 1 };
+
+constexpr SpinPhase other_phase(SpinPhase p) {
+  return p == SpinPhase::kLoad ? SpinPhase::kPause : SpinPhase::kLoad;
+}
 
 // One logical thread of the simulated machine. Workload code receives a
 // reference and calls advance()/maybe_yield() (usually indirectly, through
@@ -101,8 +117,10 @@ class SimThread {
   Scheduler& sched_;
   const int tid_;
   const unsigned core_;  // tid % n_cores, fixed at spawn
-  std::uint64_t vclock_ = 0;
+  std::uint64_t vclock_ = 0;  // stale while the thread is parked in spin()
   bool finished_ = false;
+  // The action a parked spin-wait resumes with; set when it is woken.
+  SpinPhase spin_phase_ = SpinPhase::kLoad;
   const bool sched_perturb_enabled_;
   support::Xoshiro256 rng_;
   support::Xoshiro256 perturb_rng_;
@@ -165,6 +183,43 @@ class Scheduler {
   // under batching; 0 with batching off). Exported as fast-path telemetry.
   std::uint64_t switch_bound_recomputes() const { return bound_recomputes_; }
 
+  // --- spin-waits (docs/simulator.md, "Spin-waits") ---
+
+  // True when a spin-waiting thread may park: switch-bound batching on, no
+  // yield slack and no perturbation. Otherwise spin loops run as written.
+  bool parking_enabled() const { return parking_; }
+
+  // Parks the running thread `t`, whose spin-wait loop is in a steady state
+  // (every load an L1 hit returning the same value) and whose next action is
+  // `next`; a load costs `load_cycles` and a PAUSE `pause_cycles`, before
+  // the SMT penalty. The thread leaves the fiber schedule, and the scheduler
+  // advances its clock in closed form exactly as the loop would have run.
+  // Returns once wake_if() has put it back, with the action its loop resumes
+  // with. Returns `next` at once, without parking, when the clock or the
+  // step costs are outside the range the closed form handles.
+  SpinPhase spin(SimThread& t, SpinPhase next, std::uint64_t load_cycles,
+                 std::uint64_t pause_cycles);
+
+  // Puts every parked thread for which `claim(tid)` returns true back in the
+  // ready queue, at the clock and phase its loop has reached. The running
+  // thread calls this when it writes a line that parked threads watch.
+  template <typename Claim>
+  void wake_if(Claim&& claim) {
+    std::size_t kept = 0;
+    for (const Spinner& s : spinners_) {
+      if (claim(static_cast<int>(s.tid))) {
+        unpark(s);
+      } else {
+        spinners_[kept++] = s;
+      }
+    }
+    if (kept == spinners_.size()) return;
+    spinners_.resize(kept);
+    // The bound needs no refresh: the woken clocks move from the parked
+    // minimum to the ready queue's, and min(ready, parked) is unchanged.
+    refresh_spin_min();
+  }
+
   // --- internal, used by SimThread ---
   void yield_from(SimThread& t);
   [[noreturn]] void finish_from(SimThread& t);
@@ -174,16 +229,41 @@ class Scheduler {
 
   static constexpr std::uint64_t kFinishedClock = ReadyQueue::kFinishedClock;
 
-  SimThread* pick_next() const;  // earliest-clock runnable thread
+  // A thread parked in spin(). Its loop's next action starts at `clock`.
+  struct Spinner {
+    std::uint64_t clock;
+    std::uint32_t step[2];  // scaled cost of a load / a PAUSE (by SpinPhase)
+    std::uint32_t raw[2];   // unscaled, to rescale when the core's SMT
+                            // penalty changes
+    std::int16_t tid;
+    std::uint16_t core;
+    SpinPhase phase;        // the action that starts at `clock`
+
+    void step_once() {
+      clock += step[static_cast<std::size_t>(phase)];
+      phase = other_phase(phase);
+    }
+  };
+  // A spinner that catch_up() moved, with what the tie rule needs to know
+  // about its actions below the target.
+  struct Moved {
+    std::size_t idx;        // into spinners_
+    std::uint64_t start;    // its clock and phase before the catch-up
+    SpinPhase start_phase;
+    std::uint64_t last;     // start of its last action below the target
+    SpinPhase last_phase;   // that action
+    bool active;            // last_starter(): cursor still in range
+  };
+
+  // Earliest-clock runnable thread, or nullptr when none is (finished, or
+  // only parked spinners remain).
+  SimThread* pick_next() const;
   // Counted switch directly to a known next thread (the fused tick path has
   // already computed the argmin; skips the second scan of yield_from).
   void switch_counted(SimThread& t, SimThread& next) {
     // Counted unconditionally (mirrors yield_from) so that max_switches also
     // catches a thread yielding forever without advancing its clock.
-    ++switches_;
-    ELISION_CHECK_MSG(
-        config_.max_switches == 0 || switches_ < config_.max_switches,
-        "simulation exceeded max_switches (livelock?)");
+    count_decision();
     current_ = &next;
     Fiber::switch_to(t.fiber_, next.fiber_);
   }
@@ -195,13 +275,39 @@ class Scheduler {
   ELISION_NOINLINE void yield_over_bound(SimThread& t);
   // Caches the preemption bound the incoming thread will run against: min
   // clock of everyone else (its own slot is parked at the sentinel) plus the
-  // yield slack, saturated so a lone thread (sentinel min) never yields.
-  void recompute_bound() {
-    const std::uint64_t m = ready_.min_clock();
-    switch_bound_ = m >= kFinishedClock - config_.yield_slack_cycles
+  // yield slack, saturated so a lone thread (sentinel min) never yields, and
+  // capped at the earliest parked spinner (parking implies zero slack).
+  void recompute_bound() { set_bound(ready_.min_clock()); }
+  void set_bound(std::uint64_t others_min) {
+    switch_bound_ = others_min >= kFinishedClock - config_.yield_slack_cycles
                         ? kFinishedClock
-                        : m + config_.yield_slack_cycles;
+                        : others_min + config_.yield_slack_cycles;
+    if (spin_min_ < switch_bound_) switch_bound_ = spin_min_;
     ++bound_recomputes_;
+  }
+  // Counts one scheduling decision against the max_switches valve.
+  void count_decision() {
+    ++switches_;
+    ELISION_CHECK_MSG(
+        config_.max_switches == 0 || switches_ < config_.max_switches,
+        "simulation exceeded max_switches (livelock?)");
+  }
+  // Advances every parked spinner that the unparked loops would run before
+  // the real thread (c, t) runs next to the action boundary where that
+  // thread would find it. Defined in scheduler.cpp with the tie rule.
+  void catch_up(std::uint64_t c, int t);
+  // catch_up()'s rare case: a spinner landed exactly on c above t. Applies
+  // the tie rule to the spinners in moved_, and returns the new parked
+  // minimum given the current one, `lo`.
+  std::uint64_t resolve_landing_on(std::uint64_t c, std::uint64_t lo);
+  // The spinner (index into moved_) that runs the last action starting
+  // at level x when several spinners have an action there.
+  std::size_t last_starter(std::uint64_t x);
+  // Returns a spinner's thread to the ready queue (wake_if()).
+  void unpark(const Spinner& s);
+  void refresh_spin_min() {
+    spin_min_ = kFinishedClock;
+    for (const Spinner& s : spinners_) spin_min_ = std::min(spin_min_, s.clock);
   }
   // Parks `next`'s ready-queue slot at the sentinel (its live clock now
   // lives only in vclock_) and refreshes the cached bound.
@@ -217,12 +323,23 @@ class Scheduler {
     if (out.vclock_ > max_clock_) max_clock_ = out.vclock_;
     recompute_bound();
   }
-  // Recomputes core_penalty_[core] from core_active_[core] (spawn/finish).
+  // Recomputes core_penalty_[core] from core_active_[core] (spawn/finish),
+  // and the step costs of the spinners parked on that core.
   void update_core_penalty(unsigned core) {
     core_penalty_[core] =
         (config_.smt_per_core > 1 && core_active_[core] >= 2)
             ? config_.smt_slowdown
             : 1.0;
+    for (Spinner& s : spinners_) {
+      if (s.core != core) continue;
+      s.step[0] = scaled(s.raw[0], core_penalty_[core]);
+      s.step[1] = scaled(s.raw[1], core_penalty_[core]);
+    }
+  }
+  // advance()'s fast-path scaling of one step (spin() keeps steps below
+  // 2^32 cycles).
+  static std::uint32_t scaled(std::uint64_t cycles, double penalty) {
+    return static_cast<std::uint32_t>(static_cast<double>(cycles) * penalty);
   }
 
   MachineConfig config_;
@@ -239,6 +356,9 @@ class Scheduler {
   // Cached preemption bound of the running thread (batching only): min
   // other-thread clock + yield slack, recomputed at every context switch.
   std::uint64_t switch_bound_ = kFinishedClock;
+  // Smallest clock among the parked spinners (spinners_ below), or the
+  // sentinel when none is parked. Beside the bound: every decision reads it.
+  std::uint64_t spin_min_ = kFinishedClock;
   std::uint64_t bound_recomputes_ = 0;
   // config_.batch_switch_bound, copied next to the tick-path state.
   bool batch_ = true;
@@ -258,8 +378,15 @@ class Scheduler {
   std::uint64_t deadline_ = UINT64_MAX;
   std::uint64_t switches_ = 0;
   std::uint64_t perturb_points_ = 0;
-  std::size_t runnable_ = 0;
+  std::size_t runnable_ = 0;  // live threads, parked spinners included
   bool running_ = false;
+  // Parking is on (see parking_enabled()).
+  bool parking_ = false;
+  // Parked spinners, unordered. Their ready-queue slots hold the sentinel.
+  std::vector<Spinner> spinners_;
+  // catch_up() scratch, kept to avoid allocating per decision.
+  std::vector<Moved> moved_;
+  std::vector<std::pair<std::size_t, std::size_t>> chain_;
 };
 
 // --- SimThread tick-path inlines (need the Scheduler definition) ---

@@ -68,7 +68,8 @@ class SimBarrier {
       count_.store(ctx, 0);
       sense_.store(ctx, my_sense);
     } else {
-      while (sense_.load(ctx) != my_sense) ctx.engine().pause(ctx);
+      sense_.spin_until(ctx,
+                        [my_sense](std::uint64_t v) { return v == my_sense; });
     }
   }
 

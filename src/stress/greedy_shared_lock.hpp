@@ -56,9 +56,9 @@ class GreedySharedLock {
       // BUG: tests kWriter instead of kReaderBlockMask — pending writers
       // are invisible to readers, so readers barge past announced intent
       // and the writer never sees the count drain.
-      while ((word().load(ctx) & locks::rw::kWriter) != 0) {
-        ctx.engine().pause(ctx);
-      }
+      word().spin_until(ctx, [](std::uint64_t v) {
+        return (v & locks::rw::kWriter) == 0;
+      });
       readers().fetch_add(ctx, 1);
       if ((word().load(ctx) & locks::rw::kWriter) == 0) return;
       readers().fetch_add(ctx, std::uint64_t{0} - 1);
@@ -74,6 +74,9 @@ class GreedySharedLock {
   }
   bool is_write_locked(tsx::Ctx& ctx) {
     return (word().load(ctx) & locks::rw::kReaderBlockMask) != 0;
+  }
+  void wait_write_unlocked(tsx::Ctx& ctx) {
+    locks::rw::wait_readable(ctx, word());
   }
 
   bool reissue_acquire_standard(tsx::Ctx& ctx) {

@@ -26,16 +26,16 @@ class RacyLock {
   static constexpr bool kIsFair = false;
 
   void lock(tsx::Ctx& ctx) {
-    for (;;) {
-      if (word_.value.load(ctx) == 0) break;  // test ...
-      ctx.engine().pause(ctx);
-    }
+    wait_unheld(ctx);           // test ...
     word_.value.store(ctx, 1);  // ... then act: not atomic. The bug.
   }
 
   void unlock(tsx::Ctx& ctx) { word_.value.store(ctx, 0); }
 
   bool is_held(tsx::Ctx& ctx) { return word_.value.load(ctx) != 0; }
+  void wait_unheld(tsx::Ctx& ctx) {
+    word_.value.spin_until(ctx, [](std::uint64_t v) { return v == 0; });
+  }
 
   bool reissue_acquire_standard(tsx::Ctx& ctx) {
     lock(ctx);

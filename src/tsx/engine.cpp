@@ -64,7 +64,10 @@ void Engine::charge_write(Ctx& ctx, LineRecord& rec, bool is_rmw) {
     cost = cost_.remote_transfer;  // invalidate other copies
   }
   rec.copies.assign_only(ctx.id());
-  rec.dirty_owner = ctx.id();
+  rec.dirty_owner = static_cast<std::int16_t>(ctx.id());
+  // Parked spinners see this write at their next load, so they must run
+  // again, from where their loops stand now.
+  if (rec.spinners != 0) [[unlikely]] wake_spinners(rec);
   ctx.thread().tick(cost + cost_.access_compute +
                     (is_rmw ? cost_.rmw_extra : 0));
 }
@@ -502,6 +505,55 @@ void Engine::pause(Ctx& ctx) {
     abort_self(ctx, AbortCause::kPause);
   }
   ctx.thread().tick(cost_.pause);
+}
+
+// ---------------------------------------------------------------------------
+// Spin-waits (docs/simulator.md, "Spin-waits")
+// ---------------------------------------------------------------------------
+
+std::uint64_t Engine::spin_until(
+    Ctx& ctx, const void* addr,
+    support::FunctionRef<bool(std::uint64_t)> done) {
+  for (;;) {
+    const std::uint64_t v = load(ctx, addr);
+    if (done(v)) return v;
+    if (!ctx.in_tx() && sched_.parking_enabled() &&
+        park(ctx, addr) == sim::SpinPhase::kLoad) {
+      continue;
+    }
+    pause(ctx);  // inside a transaction this aborts it
+  }
+}
+
+sim::SpinPhase Engine::park(Ctx& ctx, const void* addr) {
+  const LineId line = line_of(addr);
+  LineRecord& rec = table_.record(line, ctx.line_cache_for(line));
+  // Steady state: with no transactional writer and a copy in this thread's
+  // cache, every further load is an L1 hit that returns the same value
+  // (memory changes only under a charge_write, which wakes the spinner).
+  if (rec.writer != kNoThread || !rec.copies.test(ctx.id())) {
+    return sim::SpinPhase::kPause;
+  }
+  ++rec.spinners;
+  ctx.spin_rec_ = &rec;
+  const sim::SpinPhase next =
+      sched_.spin(ctx.thread(), sim::SpinPhase::kPause,
+                  cost_.l1_hit + cost_.access_compute, cost_.pause);
+  if (ctx.spin_rec_ != nullptr) {  // spin() declined to park
+    --rec.spinners;
+    ctx.spin_rec_ = nullptr;
+  }
+  return next;
+}
+
+void Engine::wake_spinners(LineRecord& rec) {
+  sched_.wake_if([&](int tid) {
+    TxContext& c = *contexts_[static_cast<std::size_t>(tid)];
+    if (c.spin_rec_ != &rec) return false;
+    c.spin_rec_ = nullptr;
+    return true;
+  });
+  rec.spinners = 0;
 }
 
 // ---------------------------------------------------------------------------

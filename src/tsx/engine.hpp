@@ -88,6 +88,17 @@ class Engine {
   // Busy-wait hint. Like Haswell, PAUSE inside a transaction aborts it.
   void pause(Ctx& ctx);
 
+  // The spin-wait `while (!done(load(addr))) pause();`, returning the value
+  // that satisfied `done`. Simulated exactly as that loop, but once it is
+  // steady outside a transaction (no transactional writer on the line, and
+  // the line in this thread's cache) the thread parks off the fiber
+  // schedule until the line is written, and the scheduler accounts its
+  // iterations in closed form (sim::Scheduler::spin). Inside a transaction
+  // the PAUSE aborts, as in the loop. `done` must be a pure function of the
+  // value.
+  std::uint64_t spin_until(Ctx& ctx, const void* addr,
+                           support::FunctionRef<bool(std::uint64_t)> done);
+
   // Charges `cycles` of pure compute to the thread (models non-memory work).
   void compute(Ctx& ctx, std::uint64_t cycles) { ctx.thread().tick(cycles); }
 
@@ -169,6 +180,12 @@ class Engine {
   void write_set_admit(Ctx& ctx, support::LineId line);
 
   void spurious_check(Ctx& ctx, double p);
+
+  // spin_until(): parks ctx's thread on the line of `addr` if its loop is
+  // steady, and returns the action the loop continues with.
+  sim::SpinPhase park(Ctx& ctx, const void* addr);
+  // Wakes the threads parked on `rec` (charge_write).
+  void wake_spinners(LineRecord& rec);
 
   // Chapter 7: before touching a line outside the cache footprint, wait for
   // the elided lock to be free (state S suspension).

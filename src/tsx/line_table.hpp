@@ -46,10 +46,16 @@ struct LineRecord {
   // --- transactional conflict detection ---
   int writer = kNoThread;     // tx id with this line in its (buffered) write set
   // --- cache sharing model ---
-  int dirty_owner = kNoThread;   // thread holding the line modified, if any
+  std::int16_t dirty_owner = kNoThread;  // thread holding the line modified
+  // Threads parked in a spin-wait on this line (Engine::spin_until); a write
+  // to the line wakes them. Shares dirty_owner's word, so the record keeps
+  // its size.
+  std::uint16_t spinners = 0;
   ThreadSet readers;          // tx ids with this line in their read set
   ThreadSet copies;              // threads whose simulated cache holds the line
 };
+static_assert(sizeof(LineRecord) == 8 + 2 * sizeof(ThreadSet),
+              "spinners must pack beside dirty_owner");
 
 class LineTable {
  public:

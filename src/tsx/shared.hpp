@@ -61,6 +61,14 @@ class Shared {
                                          encode(desired));
   }
 
+  // `while (!done(load(ctx))) PAUSE;` through Engine::spin_until, which
+  // parks a steady waiter; returns the value that satisfied `done`.
+  template <typename Done>
+  T spin_until(Ctx& ctx, Done&& done) const {
+    return decode(ctx.engine().spin_until(
+        ctx, &raw_, [&](std::uint64_t raw) { return done(decode(raw)); }));
+  }
+
   // --- XACQUIRE/XRELEASE-tagged operations (lock implementations only) ---
   T xacquire_exchange(Ctx& ctx, T v) {
     return decode(ctx.engine().xacquire_exchange(ctx, &raw_, encode(v)));

@@ -130,6 +130,10 @@ class TxContext {
   std::uint64_t elided_illusion_ = 0;  // value this thread sees (the lock "held")
 
   TxStats stats_;
+
+  // The line this thread's parked spin-wait watches (Engine::spin_until),
+  // or null when it is not parked. Last, off the access paths' lines.
+  LineRecord* spin_rec_ = nullptr;
 };
 
 // Workload code refers to the context simply as Ctx.

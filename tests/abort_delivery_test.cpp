@@ -14,6 +14,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <typeinfo>
 
@@ -70,15 +71,14 @@ struct Outcome {
 };
 
 std::string to_string(const Outcome& o) {
-  std::string s = "{" + std::to_string(o.ops) + ", " +
-                  std::to_string(o.attempts) + ", " +
-                  std::to_string(o.elapsed_cycles) + ", " +
-                  std::to_string(o.begins) + ", " +
-                  std::to_string(o.commits) + ", {";
+  std::ostringstream s;
+  s << '{' << o.ops << ", " << o.attempts << ", " << o.elapsed_cycles << ", "
+    << o.begins << ", " << o.commits << ", {";
   for (std::size_t i = 0; i < kCauses; ++i) {
-    s += (i == 0 ? "" : ", ") + std::to_string(o.aborts_by_cause[i]);
+    s << (i == 0 ? "" : ", ") << o.aborts_by_cause[i];
   }
-  return s + "}, " + std::to_string(o.checksum) + "}";
+  s << "}, " << o.checksum << '}';
+  return s.str();
 }
 
 std::uint64_t total_aborts(const Outcome& o) {

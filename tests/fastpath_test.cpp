@@ -7,15 +7,25 @@
 // cause, and the final simulated memory image. Shapes cover 1..256 simulated
 // threads (both sides of the ready queue's 16->17 group boundary) and both
 // yield-slack regimes.
+//
+// Batching off is also the unparked reference for spin-waits: parking a
+// steady spin-wait off the fiber schedule (docs/simulator.md, "Spin-waits")
+// needs batching, so the spin-heavy shapes below compare parked against
+// unparked runs, telemetry included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "harness/runner.hpp"
+#include "locks/clh_lock.hpp"
+#include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
+#include "locks/ticket_lock.hpp"
 #include "locks/ttas_lock.hpp"
 #include "tsx/abort.hpp"
 
@@ -111,6 +121,100 @@ TEST(FastPathDifferential, IdenticalSimulationAcrossSizesAndSlack) {
       }
     }
   }
+}
+
+// Spin-heavy shapes: a short critical section under a fair or TTAS lock,
+// elided with HLE or HLE-SCM, so most threads spend the run in the locks'
+// spin-waits (the queue locks' PAUSE loops, TTAS's wait for a free word,
+// the drivers' waits after an abort). With batching on they park; batching
+// off runs every iteration as a fiber switch.
+//
+// The lock is constructed afresh for each run at the same address: its
+// words' line ids, like the data's, must match across the pair.
+template <typename Lock>
+ShapeRun run_spin_shape(std::vector<std::uint64_t>& words, void* lock_storage,
+                        int threads, const locks::ElisionPolicy& policy,
+                        bool batch) {
+  BenchConfig cfg;
+  cfg.threads = threads;
+  cfg.duration_sec = 0.0001;
+  cfg.machine.n_cores = static_cast<unsigned>(std::max(1, threads / 2));
+  cfg.machine.smt_per_core = 2;
+  cfg.machine.seed = 11;
+  cfg.machine.batch_switch_bound = batch;
+  cfg.telemetry = true;
+
+  Lock* lock = new (lock_storage) Lock();
+  std::fill(words.begin(), words.end(), 0);
+  ShapeRun out;
+  {
+    locks::CriticalSection<Lock> cs(policy, *lock);
+    out.stats = run_workload(cfg, [&](tsx::Ctx& ctx) {
+      const std::size_t base = ctx.thread().rng().next_below(words.size());
+      return cs.run(ctx, [&] {
+        auto& eng = ctx.engine();
+        const std::uint64_t v = eng.load(ctx, &words[base]);
+        eng.store(ctx, &words[base], v + 1);
+        eng.store(ctx, &words[(base + 8) % words.size()], v);
+      });
+    });
+  }
+  lock->~Lock();
+  out.words = words;
+  return out;
+}
+
+template <typename Lock>
+void spin_differential(const char* name) {
+  std::vector<std::uint64_t> words(64);
+  struct alignas(64) Storage {
+    unsigned char bytes[sizeof(Lock)];
+  };
+  const auto storage = std::make_unique<Storage>();
+  for (const locks::ElisionPolicy& policy :
+       {locks::ElisionPolicy::hle(), locks::ElisionPolicy::hle_scm()}) {
+    for (const int threads : {8, 64, 256}) {
+      const ShapeRun on =
+          run_spin_shape<Lock>(words, storage.get(), threads, policy, true);
+      const ShapeRun off =
+          run_spin_shape<Lock>(words, storage.get(), threads, policy, false);
+      const std::string what = std::string(name) + "/" +
+                               policy.spec() +
+                               " threads=" + std::to_string(threads);
+      expect_identical(on, off, what.c_str());
+      EXPECT_EQ(on.stats.nonspec_ops, off.stats.nonspec_ops) << what;
+      EXPECT_EQ(on.stats.telemetry_events, off.stats.telemetry_events)
+          << what;
+      EXPECT_EQ(on.stats.telemetry_dropped, off.stats.telemetry_dropped)
+          << what;
+      ASSERT_EQ(on.stats.episodes.size(), off.stats.episodes.size()) << what;
+      for (std::size_t e = 0; e < on.stats.episodes.size(); ++e) {
+        const tsx::AvalancheEpisode& a = on.stats.episodes[e];
+        const tsx::AvalancheEpisode& b = off.stats.episodes[e];
+        EXPECT_TRUE(a.trigger_thread == b.trigger_thread &&
+                    a.start == b.start && a.end == b.end &&
+                    a.victims == b.victims && a.aborts == b.aborts &&
+                    a.serialized_ops == b.serialized_ops)
+            << what << " episode " << e;
+      }
+      EXPECT_GT(on.stats.ops, 0u) << what;
+      // Parking removed scheduling decisions; the work is the same.
+      EXPECT_LT(on.stats.fp_switches, off.stats.fp_switches) << what;
+    }
+  }
+}
+
+TEST(FastPathDifferential, ParkedSpinWaitsMatchUnparkedMcs) {
+  spin_differential<locks::McsLock>("MCS");
+}
+TEST(FastPathDifferential, ParkedSpinWaitsMatchUnparkedTicket) {
+  spin_differential<locks::TicketLockAdjusted>("Ticket-adj");
+}
+TEST(FastPathDifferential, ParkedSpinWaitsMatchUnparkedClh) {
+  spin_differential<locks::ClhLockAdjusted>("CLH-adj");
+}
+TEST(FastPathDifferential, ParkedSpinWaitsMatchUnparkedTtas) {
+  spin_differential<locks::TtasLock>("TTAS");
 }
 
 // The validation gate in front of every run: degenerate machine shapes must

@@ -269,7 +269,10 @@ SuiteResult tiny_result() {
       rec.metrics.latency = {{"get", 10, 100, 200, 300, 400},
                              {"put", 5, 150, 250, 350, 450}};
     }
-    if (i % 2 == 1) rec.metrics.fp_bound_recomputes = 13;
+    if (i % 2 == 1) {
+      rec.metrics.fp_bound_recomputes = 13;
+      rec.metrics.fp_switches = 17;
+    }
     r.points.push_back(std::move(rec));
     ++i;
   }
