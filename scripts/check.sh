@@ -13,14 +13,14 @@
 # hot-shard avalanche signature, and every CLI must reject malformed
 # numeric flag values (strict shared parser, no atoi truncation).
 # Finally runs the bench-suite smoke tier gated against the committed
-# baseline (bench/baseline.json), checks that `bench_suite --list` shows the
-# registry's real point fields, re-runs the tier with --jobs 2
-# --host-threads 2 (in-process pool) to prove parallel execution reproduces
-# the sequential results bit-for-bit (modulo host wall-time fields; the
-# scheduler's fastpath work counters, bound recomputes and decisions, are
-# compared with everything else), and
-# self-checks that a planted 50% throughput regression and a planted 5x
-# simulator slowdown are actually caught. A ThreadSanitizer build of the
+# baseline (bench/baseline.json; the gate requires every deterministic field
+# to match exactly), checks that `bench_suite --list` shows the registry's
+# real point fields, re-runs the tier with --jobs 2 --host-threads 2
+# (in-process pool) and gates it against the sequential results to prove
+# parallel execution reproduces them exactly (the scheduler's fastpath
+# decision count included), and self-checks that a planted 50% throughput
+# regression, a planted 1e-6 throughput drift and a planted 5x simulator
+# slowdown are all caught. A ThreadSanitizer build of the
 # parallel paths (parallel_test plus a threaded stress smoke) guards the
 # in-process fan-out itself, with the engine's fiber switches annotated via
 # the TSan fiber API; the same build runs abort_delivery_test, whose abort
@@ -216,7 +216,7 @@ fi
 
 # Bench-suite smoke: run the curated smoke tier, emit canonical results,
 # check the paper-qualitative invariants, and gate against the committed
-# baseline (see docs/benchmarks.md for tolerances and the update workflow).
+# baseline (see docs/benchmarks.md for the exact gate and the re-pin rule).
 # The committed baseline's sim_ops_per_sec came from a different machine, so
 # the simulator-speed gate here only catches order-of-magnitude slowdowns
 # (--tol-simops 0.9); the tight same-machine check comes further down.
@@ -382,7 +382,7 @@ for cli_bad in \
     "bench_suite --tier smoke --jobs -1" \
     "bench_suite --tier smoke --jobs 2x" \
     "bench_suite --tier smoke --host-threads 1.5" \
-    "bench_suite --tier smoke --tol-throughput -0.1" \
+    "bench_suite --tier smoke --tol-simops -0.1" \
     "bench_suite --tier smoke --plant-regression 0junk" \
     "elide --threads 8y" \
     "elide --ms -3" \
@@ -412,52 +412,50 @@ echo "CLI parsing: all tools reject malformed numeric flag values"
 # Parallel execution must reproduce the sequential run exactly: every
 # simulated metric is deterministic per seed, so running the points on the
 # in-process pool (--jobs), with per-point multi-seed fan-out
-# (--host-threads), may only change the host wall-time fields (wall_ms,
-# sim_ops_per_sec, run.host).
+# (--host-threads), may only change the host fields (wall_ms,
+# sim_ops_per_sec, run.host). The exact gate against the sequential results
+# checks that; --tol-simops 1 leaves host speed out of it.
 bench_thr_json=$(mktemp)
 trap 'rm -f "$metrics" "$bench_json" "$bench_full_json" "$bench_thr_json"' \
     EXIT
 "$BUILD"/tools/bench_suite --tier smoke --jobs 2 --host-threads 2 \
-    --out "$bench_thr_json" --quiet || {
-  echo "check: bench_suite --jobs 2 --host-threads 2 run failed" >&2; exit 1; }
-python3 - "$bench_json" "$bench_thr_json" <<'EOF'
-import json, sys
-seq, thr = (json.load(open(p)) for p in sys.argv[1:3])
-assert thr["run"]["host"]["jobs"] == 2, thr["run"]["host"]
-assert thr["run"]["host"]["host_threads"] == 2, thr["run"]["host"]
-for doc in (seq, thr):
-    del doc["run"]["host"]
-    for p in doc["points"]:
-        del p["metrics"]["sim_ops_per_sec"], p["metrics"]["wall_ms"]
-assert seq == thr, "parallel run diverged from sequential run"
-# The scheduler's work counters are part of that identity: both fastpath
-# counters (bound recomputes and scheduling decisions) must be there.
-fastpath = [p["metrics"]["fastpath"] for p in seq["points"]
-            if "fastpath" in p["metrics"]]
-assert fastpath and all(set(f) == {"bound_recomputes", "switches"}
-                        for f in fastpath), "fastpath counters missing"
-print("bench suite: --jobs 2 --host-threads 2 reproduces the sequential"
-      " results exactly, fastpath bound_recomputes and switches included")
-EOF
+    --out "$bench_thr_json" --baseline "$bench_json" --gate --tol-simops 1 \
+    --quiet || {
+  echo "check: bench_suite --jobs 2 --host-threads 2 diverged from the" \
+       "sequential run" >&2; exit 1; }
+grep -q '"jobs":2,"host_threads":2,' "$bench_thr_json" || {
+  echo "check: run.host does not record --jobs 2 --host-threads 2" >&2
+  exit 1; }
+# The scheduler's decision count is part of that identity.
+grep -q '"fastpath":{"switches":[1-9]' "$bench_json" || {
+  echo "check: fastpath switches missing from the smoke results" >&2; exit 1; }
+echo "bench suite: --jobs 2 --host-threads 2 reproduces the sequential" \
+     "results exactly, fastpath switches included"
 
-# Gate self-checks: a planted 50% throughput regression and a planted 5x
-# simulator slowdown must both be detected (proof neither gate is vacuous).
-# The slowdown check gates against the fresh same-machine results from
-# above, where a tight sim_ops_per_sec tolerance is meaningful.
-if "$BUILD"/tools/bench_suite --tier smoke --plant-regression 0.5 \
-    --out /dev/null --baseline bench/baseline.json --gate --quiet \
-    >/dev/null 2>&1; then
-  echo "check: bench gate missed a planted 50% throughput regression" >&2
-  exit 1
-fi
-echo "bench suite: planted-regression self-check caught the regression"
-
-if "$BUILD"/tools/bench_suite --tier smoke --plant-slowdown 0.2 \
-    --out /dev/null --baseline "$bench_json" --gate --tol-simops 0.5 \
-    --quiet >/dev/null 2>&1; then
-  echo "check: bench gate missed a planted 5x simulator slowdown" >&2
-  exit 1
-fi
-echo "bench suite: planted-slowdown self-check caught the slowdown"
+# Gate self-checks: a planted 50% throughput regression, a planted 1e-6
+# throughput drift (visible at the results' printed precision) and a
+# planted 5x simulator slowdown must each fail the gate with a regression
+# on the planted key (proof no gate is vacuous; a usage error or a broken
+# invariant does not count). The slowdown check gates against the fresh
+# same-machine results from above, where a tight sim_ops_per_sec tolerance
+# is meaningful.
+planted() {
+  local key=$1 what=$2 out
+  shift 2
+  if out=$("$BUILD"/tools/bench_suite --tier smoke --out /dev/null --gate \
+      --quiet "$@" 2>&1); then
+    echo "check: bench gate missed a planted $what" >&2; exit 1
+  fi
+  grep -q "^REGRESSION: .* metrics\.$key:" <<<"$out" || {
+    echo "check: planted $what failed without a $key regression" >&2
+    exit 1; }
+  echo "bench suite: self-check caught the planted $what"
+}
+planted throughput_ops_per_sec "50% throughput regression" \
+    --plant-regression 0.5 --baseline bench/baseline.json
+planted throughput_ops_per_sec "1e-6 throughput drift" \
+    --plant-regression 0.999999 --baseline bench/baseline.json
+planted sim_ops_per_sec "5x simulator slowdown" \
+    --plant-slowdown 0.2 --baseline "$bench_json" --tol-simops 0.5
 
 echo "check: OK"

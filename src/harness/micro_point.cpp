@@ -100,7 +100,6 @@ RunStats run_micro_point(const MicroPoint& p) {
   out.ghz = machine.ghz;
   out.elapsed_cycles = sched.elapsed_cycles();
   out.tx = engine.total_stats();
-  out.fp_bound_recomputes = sched.switch_bound_recomputes();
   out.fp_switches = sched.switch_count();
   for (const PerThread& a : acc) {
     out.ops += a.ops;

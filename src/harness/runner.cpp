@@ -74,7 +74,6 @@ void RunStats::accumulate(const RunStats& o) {
   elapsed_cycles += o.elapsed_cycles;
   perturb_points += o.perturb_points;
   tx += o.tx;
-  fp_bound_recomputes += o.fp_bound_recomputes;
   fp_switches += o.fp_switches;
   if (timeline.size() < o.timeline.size()) timeline.resize(o.timeline.size());
   for (std::size_t s = 0; s < o.timeline.size(); ++s) {
@@ -192,7 +191,6 @@ RunStats run_workload(const BenchConfig& cfg, const OpFn& op) {
     }
   }
   out.tx = eng.total_stats();
-  out.fp_bound_recomputes = sched.switch_bound_recomputes();
   out.fp_switches = sched.switch_count();
 
   if (want_telemetry && tsx::kTelemetryCompiled) {

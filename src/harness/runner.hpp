@@ -79,14 +79,10 @@ struct RunStats {
   std::uint64_t perturb_points = 0;
   double ghz = 3.4;
   tsx::TxStats tx;  // engine-level transaction counters
-  // How many times the scheduler recomputed its cached context-switch bound
-  // (once per actual switch under switch-bound batching). A function of the
-  // schedule alone, so it reproduces across processes like any simulated
-  // counter; it never feeds back into the simulation.
-  std::uint64_t fp_bound_recomputes = 0;
   // Scheduling decisions the run took (Scheduler::switch_count(): yields,
-  // parks and finishes, whether or not they switched fibers). Like
-  // fp_bound_recomputes, a function of the schedule alone.
+  // parks and finishes, whether or not they switched fibers). A function of
+  // the schedule alone, so it reproduces across processes like any simulated
+  // counter; it never feeds back into the simulation.
   std::uint64_t fp_switches = 0;
   std::vector<SlotStats> timeline;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <iterator>
 #include <string_view>
 #include <tuple>
@@ -590,7 +591,6 @@ PointMetrics PointMetrics::derive(const RunStats& stats) {
                          ol.hist.quantile(0.99), ol.hist.quantile(0.999),
                          ol.hist.max()});
   }
-  m.fp_bound_recomputes = stats.fp_bound_recomputes;
   m.fp_switches = stats.fp_switches;
   return m;
 }
@@ -718,11 +718,8 @@ void write_point_json(const PointRecord& r, std::FILE* out) {
     }
     std::fprintf(out, "},");
   }
-  if (m.fp_bound_recomputes != 0 || m.fp_switches != 0) {
-    std::fprintf(out,
-                 "\"fastpath\":{\"bound_recomputes\":%llu,"
-                 "\"switches\":%llu},",
-                 static_cast<unsigned long long>(m.fp_bound_recomputes),
+  if (m.fp_switches != 0) {
+    std::fprintf(out, "\"fastpath\":{\"switches\":%llu},",
                  static_cast<unsigned long long>(m.fp_switches));
   }
   std::fprintf(out, "\"sim_ops_per_sec\":%.3f,\"wall_ms\":%.3f}}",
@@ -799,7 +796,6 @@ PointMetrics parse_metrics(const Value* metrics) {
                            u64(l, "max_cycles")});
     }
   }
-  m.fp_bound_recomputes = u64(metrics->find("fastpath"), "bound_recomputes");
   m.fp_switches = u64(metrics->find("fastpath"), "switches");
   m.sim_ops_per_sec = num(metrics, "sim_ops_per_sec");
   m.wall_ms = num(metrics, "wall_ms");
@@ -889,23 +885,94 @@ std::optional<SuiteResult> load_results_file(const std::string& path) {
 
 // ---- regression gate ----
 
+namespace {
+
+// A point as the writer renders it, parsed back: numbers compare at their
+// printed precision. The host fields are zeroed, and so are the avalanche
+// counters unless both documents have telemetry compiled in.
+Value deterministic_view(PointRecord r, bool with_avalanche) {
+  r.metrics.sim_ops_per_sec = 0;
+  r.metrics.wall_ms = 0;
+  if (!with_avalanche) {
+    r.metrics.avalanche_episodes = 0;
+    r.metrics.avalanche_victims = 0;
+  }
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  write_point_json(r, f);
+  std::fclose(f);
+  auto v = support::json::parse(std::string_view(buf, len));
+  std::free(buf);
+  return std::move(*v);
+}
+
+std::string leaf_text(const Value& v) {
+  if (v.is_null()) return "absent";
+  if (v.is_bool()) return text(v.as_bool());
+  if (v.is_string()) return v.as_string();
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.15g", v.as_double());
+  return buf;
+}
+
+// One regression per leaf key whose value differs between the two views
+// (a key on one side only reads "absent" on the other).
+void diff_views(const Value& base, const Value& cur, const std::string& key,
+                const std::string& id, std::vector<GateIssue>& out) {
+  const Value absent;
+  auto child = [&](const std::string& k) {
+    return key.empty() ? k : key + "." + k;
+  };
+  if (base.is_object() || cur.is_object()) {
+    for (const auto& m : base.members()) {
+      const Value* c = cur.find(m.key);
+      diff_views(m.value, c != nullptr ? *c : absent, child(m.key), id, out);
+    }
+    for (const auto& m : cur.members()) {
+      if (base.find(m.key) == nullptr) {
+        diff_views(absent, m.value, child(m.key), id, out);
+      }
+    }
+    return;
+  }
+  if (base.is_array() || cur.is_array()) {
+    for (std::size_t i = 0; i < std::max(base.size(), cur.size()); ++i) {
+      diff_views(i < base.size() ? base.items()[i] : absent,
+                 i < cur.size() ? cur.items()[i] : absent,
+                 key + "[" + std::to_string(i) + "]", id, out);
+    }
+    return;
+  }
+  if (base.type() != cur.type() || base.as_double() != cur.as_double() ||
+      base.as_bool() != cur.as_bool() || base.as_string() != cur.as_string()) {
+    out.push_back({id, key, leaf_text(base), leaf_text(cur),
+                   "differs from the baseline"});
+  }
+}
+
+std::string run_config(const SuiteResult& r) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "duration_scale %g, machine %ux%u @ %g GHz",
+                r.duration_scale, r.n_cores, r.smt_per_core, r.ghz);
+  return buf;
+}
+
+}  // namespace
+
 GateReport compare_to_baseline(const SuiteResult& current,
                                const SuiteResult& baseline,
-                               const GateTolerance& tol) {
+                               double simops_rel) {
   GateReport report;
-  if (current.duration_scale != baseline.duration_scale) {
-    report.notes.push_back(
-        "duration_scale differs from baseline (" +
-        std::to_string(current.duration_scale) + " vs " +
-        std::to_string(baseline.duration_scale) +
-        "); ratio metrics are compared anyway");
+  if (run_config(current) != run_config(baseline)) {
+    report.regressions.push_back(
+        {"run", "config", run_config(baseline), run_config(current),
+         "not comparable: rerun at the baseline's duration scale and "
+         "machine"});
+    return report;
   }
-  if (current.ghz != baseline.ghz || current.n_cores != baseline.n_cores ||
-      current.smt_per_core != baseline.smt_per_core) {
-    report.notes.push_back(
-        "machine config differs from baseline; numbers may not be "
-        "comparable");
-  }
+  const bool with_avalanche =
+      current.telemetry_compiled && baseline.telemetry_compiled;
 
   for (const auto& cur : current.points) {
     const PointRecord* base = baseline.find(cur.def.id);
@@ -915,78 +982,21 @@ GateReport compare_to_baseline(const SuiteResult& current,
                              "the baseline to gate it)");
       continue;
     }
-    const auto& bm = base->metrics;
-    const auto& cm = cur.metrics;
-
-    if (bm.throughput_ops_per_sec > 0) {
-      const double floor = bm.throughput_ops_per_sec * (1 - tol.throughput_rel);
-      const double ceil = bm.throughput_ops_per_sec * (1 + tol.throughput_rel);
-      if (cm.throughput_ops_per_sec < floor) {
-        report.regressions.push_back(
-            {cur.def.id, "throughput_ops_per_sec", bm.throughput_ops_per_sec,
-             cm.throughput_ops_per_sec,
-             "throughput dropped more than " +
-                 std::to_string(static_cast<int>(tol.throughput_rel * 100)) +
-                 "%"});
-      } else if (cm.throughput_ops_per_sec > ceil) {
-        report.improvements.push_back(
-            {cur.def.id, "throughput_ops_per_sec", bm.throughput_ops_per_sec,
-             cm.throughput_ops_per_sec,
-             "throughput improved beyond tolerance; refresh the baseline"});
-      }
-    }
-
-    if (bm.attempts_per_op > 0) {
-      const double ceil = bm.attempts_per_op * (1 + tol.attempts_rel);
-      const double floor = bm.attempts_per_op * (1 - tol.attempts_rel);
-      if (cm.attempts_per_op > ceil) {
-        report.regressions.push_back(
-            {cur.def.id, "attempts_per_op", bm.attempts_per_op,
-             cm.attempts_per_op, "more attempts needed per completed region"});
-      } else if (cm.attempts_per_op < floor) {
-        report.improvements.push_back(
-            {cur.def.id, "attempts_per_op", bm.attempts_per_op,
-             cm.attempts_per_op,
-             "attempts/op improved beyond tolerance; refresh the baseline"});
-      }
-    }
+    diff_views(deterministic_view(*base, with_avalanche),
+               deterministic_view(cur, with_avalanche), "", cur.def.id,
+               report.regressions);
 
     // Host simulator speed. Only meaningful when both sides report it (old
     // baselines carry 0) and the tolerance is enabled; wall_ms itself is
     // never gated, only the ratio metric.
-    if (bm.sim_ops_per_sec > 0 && cm.sim_ops_per_sec > 0 &&
-        tol.simops_rel < 1.0) {
-      const double floor = bm.sim_ops_per_sec * (1 - tol.simops_rel);
-      if (cm.sim_ops_per_sec < floor) {
-        report.regressions.push_back(
-            {cur.def.id, "sim_ops_per_sec", bm.sim_ops_per_sec,
-             cm.sim_ops_per_sec,
-             "simulator executes this point more than " +
-                 std::to_string(static_cast<int>(tol.simops_rel * 100)) +
-                 "% slower than the baseline host run"});
-      }
-    }
-
-    if (cm.nonspec_fraction > bm.nonspec_fraction + tol.fraction_abs) {
+    const double bs = base->metrics.sim_ops_per_sec;
+    const double cs = cur.metrics.sim_ops_per_sec;
+    if (bs > 0 && cs > 0 && simops_rel < 1.0 && cs < bs * (1 - simops_rel)) {
       report.regressions.push_back(
-          {cur.def.id, "nonspec_fraction", bm.nonspec_fraction,
-           cm.nonspec_fraction,
-           "more operations fell back to non-speculative execution"});
-    } else if (cm.nonspec_fraction + tol.fraction_abs < bm.nonspec_fraction) {
-      report.improvements.push_back(
-          {cur.def.id, "nonspec_fraction", bm.nonspec_fraction,
-           cm.nonspec_fraction,
-           "nonspec fraction improved beyond tolerance; refresh the "
-           "baseline"});
-    }
-
-    if (current.telemetry_compiled && baseline.telemetry_compiled &&
-        cur.def.telemetry() &&
-        cm.avalanche_episodes != bm.avalanche_episodes) {
-      report.notes.push_back(
-          "point " + cur.def.id + ": avalanche episodes changed (" +
-          std::to_string(bm.avalanche_episodes) + " -> " +
-          std::to_string(cm.avalanche_episodes) + ")");
+          {cur.def.id, "metrics.sim_ops_per_sec", text(bs), text(cs),
+           "simulator executes this point more than " +
+               std::to_string(static_cast<int>(simops_rel * 100)) +
+               "% slower than the baseline host run"});
     }
   }
 
@@ -998,7 +1008,7 @@ GateReport compare_to_baseline(const SuiteResult& current,
     }
     if (current.find(base.def.id) == nullptr) {
       report.regressions.push_back(
-          {base.def.id, "coverage", 0.0, 0.0,
+          {base.def.id, "coverage", "present", "absent",
            "baseline point missing from this run (coverage loss)"});
     }
   }
@@ -1009,20 +1019,13 @@ void print_gate_report(const GateReport& report, std::FILE* out) {
   for (const auto& note : report.notes) {
     std::fprintf(out, "note: %s\n", note.c_str());
   }
-  for (const auto& imp : report.improvements) {
-    std::fprintf(out, "improvement: %s %s: %.4g -> %.4g (%s)\n",
-                 imp.point_id.c_str(), imp.metric.c_str(), imp.baseline,
-                 imp.current, imp.detail.c_str());
-  }
   for (const auto& reg : report.regressions) {
-    std::fprintf(out, "REGRESSION: %s %s: %.4g -> %.4g (%s)\n",
-                 reg.point_id.c_str(), reg.metric.c_str(), reg.baseline,
-                 reg.current, reg.detail.c_str());
+    std::fprintf(out, "REGRESSION: %s %s: %s -> %s (%s)\n",
+                 reg.point_id.c_str(), reg.key.c_str(), reg.baseline.c_str(),
+                 reg.current.c_str(), reg.detail.c_str());
   }
-  std::fprintf(out, "gate: %zu regression(s), %zu improvement(s), %zu "
-                    "note(s)\n",
-               report.regressions.size(), report.improvements.size(),
-               report.notes.size());
+  std::fprintf(out, "gate: %zu regression(s), %zu note(s)\n",
+               report.regressions.size(), report.notes.size());
 }
 
 // ---- paper-qualitative invariants ----

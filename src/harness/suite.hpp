@@ -6,8 +6,8 @@
 //     per-point throughput, spec/nonspec fractions, attempts-per-op, the
 //     abort-cause matrix and avalanche episode counts, plus run metadata
 //     (seeds, duration scale, machine config, telemetry availability);
-//   - regression gating against a committed baseline with per-metric
-//     relative tolerances; and
+//   - regression gating against a committed baseline: every deterministic
+//     field must match it exactly; and
 //   - the paper's qualitative invariants (Ch. 5/6) checked on every run,
 //     e.g. SCM >= plain HLE on the contended MCS point, adjusted ticket/CLH
 //     locks committing speculatively when solo.
@@ -119,12 +119,10 @@ struct PointMetrics {
     std::uint64_t max_cycles = 0;
   };
   std::vector<OpLatencySummary> latency;
-  // Switch-bound recomputes of the scheduler's batching fast path and the
-  // scheduler's decision count (docs/simulator.md). Schedule-determined, so
-  // identical across processes like every field above; they feed no
+  // The scheduler's decision count (docs/simulator.md). Schedule-determined,
+  // so identical across processes like every field above; it feeds no
   // simulated metric. Emitted in JSON as an optional "fastpath" object only
   // when non-zero.
-  std::uint64_t fp_bound_recomputes = 0;
   std::uint64_t fp_switches = 0;
   // Host-side speed: simulated ops completed per host wall second and the
   // point's host wall time. These are the only non-deterministic fields of a
@@ -180,41 +178,38 @@ std::optional<SuiteResult> load_results_file(const std::string& path);
 
 // ---- regression gate ----
 
-struct GateTolerance {
-  // Throughput regression: current < baseline * (1 - throughput_rel).
-  double throughput_rel = 0.10;
-  // Attempts-per-op regression: current > baseline * (1 + attempts_rel).
-  double attempts_rel = 0.15;
-  // Non-speculative-fraction regression: current > baseline + fraction_abs.
-  double fraction_abs = 0.08;
-  // Simulator-speed regression: current sim_ops_per_sec <
-  // baseline * (1 - simops_rel). Host speed varies across machines far more
-  // than virtual-time metrics do, hence the generous default; gate a
-  // same-machine baseline with a tight value (scripts/check.sh does).
-  double simops_rel = 0.75;
-};
+// Default simulator-speed tolerance: a point whose sim_ops_per_sec falls
+// below baseline * (1 - simops_rel) is a regression. Host speed varies
+// across machines, hence the generous default; gate a same-machine baseline
+// with a tight value (scripts/check.sh does), and 1.0 or more disables it.
+inline constexpr double kDefaultSimopsRel = 0.75;
 
 struct GateIssue {
   std::string point_id;
-  std::string metric;
-  double baseline = 0.0;
-  double current = 0.0;
+  std::string key;  // JSON key path within the point, e.g. "metrics.ops"
+  std::string baseline;
+  std::string current;
   std::string detail;
 };
 
 struct GateReport {
-  std::vector<GateIssue> regressions;   // gate fails if non-empty
-  std::vector<GateIssue> improvements;  // beyond tolerance: refresh baseline
-  std::vector<std::string> notes;       // metadata drift, new points, ...
+  std::vector<GateIssue> regressions;  // gate fails if non-empty
+  std::vector<std::string> notes;      // points not in the baseline
   bool ok() const { return regressions.empty(); }
 };
 
-// Compares every current point against the baseline point with the same id.
-// A baseline point of the current tier that is missing from `current` is a
-// regression (coverage loss); points new in `current` are notes.
+// Exact gate. Every point in both documents is rendered by the JSON writer
+// without its host fields (sim_ops_per_sec, wall_ms); each key whose value
+// differs is a regression, so every deterministic field, definition fields
+// included, must equal the baseline at its printed precision. The
+// avalanche_* counters are compared only when both documents have telemetry
+// compiled in. A duration_scale or machine-config mismatch is a single "not
+// comparable" regression. A baseline point of the current tier that is
+// missing from `current` is a regression (coverage loss); points new in
+// `current` are notes. Host speed is gated separately, by `simops_rel`.
 GateReport compare_to_baseline(const SuiteResult& current,
                                const SuiteResult& baseline,
-                               const GateTolerance& tol = {});
+                               double simops_rel = kDefaultSimopsRel);
 
 void print_gate_report(const GateReport& report, std::FILE* out);
 

@@ -179,10 +179,6 @@ class Scheduler {
   // The thread currently executing, or nullptr when the host context runs.
   SimThread* current() { return current_; }
 
-  // Times the cached preemption bound was recomputed (one per context switch
-  // under batching; 0 with batching off). Exported as fast-path telemetry.
-  std::uint64_t switch_bound_recomputes() const { return bound_recomputes_; }
-
   // --- spin-waits (docs/simulator.md, "Spin-waits") ---
 
   // True when a spin-waiting thread may park: switch-bound batching on, no
@@ -283,7 +279,6 @@ class Scheduler {
                         ? kFinishedClock
                         : others_min + config_.yield_slack_cycles;
     if (spin_min_ < switch_bound_) switch_bound_ = spin_min_;
-    ++bound_recomputes_;
   }
   // Counts one scheduling decision against the max_switches valve.
   void count_decision() {
@@ -359,7 +354,6 @@ class Scheduler {
   // Smallest clock among the parked spinners (spinners_ below), or the
   // sentinel when none is parked. Beside the bound: every decision reads it.
   std::uint64_t spin_min_ = kFinishedClock;
-  std::uint64_t bound_recomputes_ = 0;
   // config_.batch_switch_bound, copied next to the tick-path state.
   bool batch_ = true;
   // Running max of every clock ever set: elapsed_cycles() without a rescan.

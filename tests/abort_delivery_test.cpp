@@ -23,8 +23,6 @@
 #include "locks/clh_lock.hpp"
 #include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
-#include "locks/shared_guard.hpp"
-#include "locks/shared_ttas_lock.hpp"
 #include "locks/ticket_lock.hpp"
 #include "locks/ttas_lock.hpp"
 #include "service/sharded_kv.hpp"
@@ -384,41 +382,6 @@ TEST(AbortDelivery, BodyDestructorsRunOnAbort) {
   EXPECT_GT(g_tx_throws.load() - before, 0u);
   EXPECT_GT(n.made, o.ops);  // some bodies were abandoned by an abort
   EXPECT_EQ(n.made, n.destroyed);
-}
-
-// So is a SharedGuard: an abort in the body unwinds through it, and it
-// releases nothing the rollback already undid. The driver's lock
-// subscription ran as a checkpoint just before the body; the body's abort
-// must still throw.
-TEST(AbortDelivery, SharedGuardSeesTheBodyAbort) {
-  struct CountingGuard : locks::SharedGuard<locks::SharedTtasLock> {
-    CountingGuard(tsx::Ctx& ctx, locks::SharedTtasLock& l, Counts& c)
-        : SharedGuard(ctx, l), counted(c) {}
-    Counted counted;
-  };
-  locks::TtasLock lock;
-  locks::SharedTtasLock inner;
-  Counts n;
-  locks::RegionResult r;
-  bool held = true;
-  sim::Scheduler sched(sim::MachineConfig{});
-  tsx::Engine eng(sched);
-  const std::uint64_t before = g_tx_throws.load();
-  sched.spawn([&](sim::SimThread& t) {
-    tsx::Ctx& ctx = eng.context(t);
-    r = locks::rtm_elide_region(ctx, lock, [&] {
-      CountingGuard g(ctx, inner, n);
-      if (eng.xtest(ctx)) eng.xabort(ctx, 1);
-    });
-    held = inner.is_held(ctx);
-  });
-  sched.run();
-  EXPECT_EQ(g_tx_throws.load() - before, 1u);
-  EXPECT_FALSE(r.speculative);
-  EXPECT_EQ(r.attempts, 2);
-  EXPECT_EQ(n.made, 2u);  // the aborted attempt and the standard run
-  EXPECT_EQ(n.destroyed, 2u);
-  EXPECT_FALSE(held);
 }
 
 }  // namespace

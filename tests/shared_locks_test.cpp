@@ -1,6 +1,7 @@
 // Two-mode lock family tests: reader-writer mutual exclusion, reader
 // concurrency, writer preference, elided-reader fast paths through
-// CriticalSection::run_shared, SharedGuard abort rollback, and the
+// CriticalSection::run_shared, shared acquisitions rolled back with an
+// aborted transaction, and the
 // reader-avalanche telemetry attribution the writer-heavy bench points rely
 // on.
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "locks/schemes.hpp"
-#include "locks/shared_guard.hpp"
 #include "locks/ttas_lock.hpp"
 #include "locks/shared_mcs_lock.hpp"
 #include "locks/shared_ttas_lock.hpp"
@@ -157,17 +157,17 @@ TYPED_TEST(SharedLockTest, SharedReleaseLeavesWordFree) {
   sched.run();
 }
 
-TYPED_TEST(SharedLockTest, SharedGuardRollsBackWithAbortedTransaction) {
-  // An aborted transaction rolls the elided reader increment back; the
-  // guard's destructor must not decrement what was never really added.
+TYPED_TEST(SharedLockTest, LockSharedRollsBackWithAbortedTransaction) {
+  // A shared acquisition inside a transaction is buffered; the abort rolls
+  // the reader increment back, leaving the lock free and usable.
   TypeParam lock;
   sim::Scheduler sched(quiet_machine());
   tsx::Engine eng(sched, quiet_tsx());
   sched.spawn([&](sim::SimThread& st) {
     auto& ctx = eng.context(st);
     const unsigned status = ctx.engine().run_transaction(ctx, [&] {
-      SharedGuard<TypeParam> g(ctx, lock);
-      EXPECT_TRUE(g.was_speculative());
+      lock.lock_shared(ctx);
+      EXPECT_TRUE(ctx.in_tx());
       ctx.engine().xabort(ctx, 7);
     });
     EXPECT_NE(status, tsx::kCommitted);

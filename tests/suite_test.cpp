@@ -1,7 +1,8 @@
 // Bench-suite tests: curated point list and its --list cells, the
 // byte-exact canonical JSON round-trip (full registry and the committed
-// baseline), the regression gate (including a planted regression and
-// coverage loss), the paper-qualitative invariant checks, and the
+// baseline), the exact regression gate (one-op drifts, definition fields,
+// host fields, telemetry-off documents, coverage loss and planted
+// regressions), the paper-qualitative invariant checks, and the
 // RB-tree workload itself: run_rb_point's seed merge, its lock table and
 // the TsxConfig / telemetry-sink / adaptive-trace plumbing.
 #include <gtest/gtest.h>
@@ -269,10 +270,7 @@ SuiteResult tiny_result() {
       rec.metrics.latency = {{"get", 10, 100, 200, 300, 400},
                              {"put", 5, 150, 250, 350, 450}};
     }
-    if (i % 2 == 1) {
-      rec.metrics.fp_bound_recomputes = 13;
-      rec.metrics.fp_switches = 17;
-    }
+    if (i % 2 == 1) rec.metrics.fp_switches = 17;
     r.points.push_back(std::move(rec));
     ++i;
   }
@@ -376,29 +374,115 @@ TEST(SuiteGate, PassesOnIdenticalResults) {
   const SuiteResult base = tiny_result();
   const GateReport report = compare_to_baseline(base, base);
   EXPECT_TRUE(report.ok());
-  EXPECT_TRUE(report.improvements.empty());
+  EXPECT_TRUE(report.notes.empty());
+}
+
+// The one regression a single-key change must produce.
+GateIssue only_regression(const SuiteResult& cur, const SuiteResult& base) {
+  const GateReport report = compare_to_baseline(cur, base);
+  EXPECT_EQ(report.regressions.size(), 1u);
+  return report.regressions.empty() ? GateIssue{} : report.regressions[0];
 }
 
 TEST(SuiteGate, DetectsPlantedThroughputRegression) {
   const SuiteResult base = tiny_result();
   SuiteResult cur = base;
   cur.points[0].metrics.throughput_ops_per_sec *= 0.5;  // planted: -50%
-  const GateReport report = compare_to_baseline(cur, base);
-  ASSERT_FALSE(report.ok());
-  ASSERT_EQ(report.regressions.size(), 1u);
-  EXPECT_EQ(report.regressions[0].point_id, base.points[0].def.id);
-  EXPECT_EQ(report.regressions[0].metric, "throughput_ops_per_sec");
+  const GateIssue reg = only_regression(cur, base);
+  EXPECT_EQ(reg.point_id, base.points[0].def.id);
+  EXPECT_EQ(reg.key, "metrics.throughput_ops_per_sec");
+  EXPECT_EQ(reg.baseline, "10000000");
+  EXPECT_EQ(reg.current, "5000000");
 }
 
-TEST(SuiteGate, DetectsAttemptsAndFallbackRegressions) {
+// Drifts far inside the old 10%/15%/0.08 tolerances, each of which moves a
+// simulated result and so fails the exact gate.
+TEST(SuiteGate, OneOpDriftIsARegression) {
   const SuiteResult base = tiny_result();
   SuiteResult cur = base;
-  cur.points[1].metrics.attempts_per_op *= 1.5;
-  cur.points[2].metrics.nonspec_fraction += 0.2;
-  const GateReport report = compare_to_baseline(cur, base);
-  ASSERT_EQ(report.regressions.size(), 2u);
-  EXPECT_EQ(report.regressions[0].metric, "attempts_per_op");
-  EXPECT_EQ(report.regressions[1].metric, "nonspec_fraction");
+  cur.points[3].metrics.ops += 1;
+  const GateIssue reg = only_regression(cur, base);
+  EXPECT_EQ(reg.point_id, base.points[3].def.id);
+  EXPECT_EQ(reg.key, "metrics.ops");
+  EXPECT_EQ(reg.baseline, "1003");
+  EXPECT_EQ(reg.current, "1004");
+}
+
+TEST(SuiteGate, ChangedAbortCauseIsARegression) {
+  const SuiteResult base = tiny_result();
+  SuiteResult cur = base;
+  cur.points[2].metrics.aborts_by_cause[static_cast<std::size_t>(
+      tsx::AbortCause::kCapacity)] = 1;
+  const GateIssue reg = only_regression(cur, base);
+  EXPECT_EQ(reg.key, "metrics.aborts_by_cause.capacity");
+  EXPECT_EQ(reg.baseline, "0");
+  EXPECT_EQ(reg.current, "1");
+}
+
+TEST(SuiteGate, ChangedSwitchCountIsARegression) {
+  const SuiteResult base = tiny_result();
+  SuiteResult cur = base;
+  cur.points[1].metrics.fp_switches += 1;
+  EXPECT_EQ(only_regression(cur, base).key, "metrics.fastpath.switches");
+  // A counter only one side emits is absent on the other.
+  cur = base;
+  cur.points[0].metrics.fp_switches = 5;
+  const GateIssue reg = only_regression(cur, base);
+  EXPECT_EQ(reg.key, "metrics.fastpath.switches");
+  EXPECT_EQ(reg.baseline, "absent");
+  EXPECT_EQ(reg.current, "5");
+}
+
+TEST(SuiteGate, ChangedDefinitionFieldIsARegression) {
+  const SuiteResult base = tiny_result();
+  SuiteResult cur = base;
+  std::visit([](auto& p) { p.seeds += 1; }, cur.points[4].def.spec);
+  const GateIssue reg = only_regression(cur, base);
+  EXPECT_EQ(reg.point_id, base.points[4].def.id);
+  EXPECT_EQ(reg.key, "seeds");
+}
+
+TEST(SuiteGate, HostFieldsAreNotCompared) {
+  const SuiteResult base = tiny_result();
+  SuiteResult cur = base;
+  for (auto& p : cur.points) {
+    p.metrics.sim_ops_per_sec = 1e6;
+    p.metrics.wall_ms = 12.5;
+  }
+  cur.host_cores = 64;
+  cur.jobs = 4;
+  cur.host_threads = 2;
+  cur.total_wall_ms = 99.0;
+  EXPECT_TRUE(compare_to_baseline(cur, base).ok());
+}
+
+// A document without telemetry reports no avalanches; the avalanche
+// counters are compared only when both sides have telemetry compiled in.
+TEST(SuiteGate, AvalancheCountersNeedTelemetryOnBothSides) {
+  const SuiteResult base = tiny_result();
+  SuiteResult cur = base;
+  cur.telemetry_compiled = false;
+  for (auto& p : cur.points) {
+    p.metrics.avalanche_episodes = 0;
+    p.metrics.avalanche_victims = 0;
+  }
+  EXPECT_TRUE(compare_to_baseline(cur, base).ok());
+  EXPECT_TRUE(compare_to_baseline(base, cur).ok());
+
+  cur = base;
+  cur.points[0].metrics.avalanche_victims += 1;
+  EXPECT_EQ(only_regression(cur, base).key, "metrics.avalanche_victims");
+}
+
+TEST(SuiteGate, DifferentRunConfigIsOneNotComparableRegression) {
+  const SuiteResult base = tiny_result();
+  SuiteResult cur = base;
+  cur.duration_scale = 0.5;
+  for (auto& p : cur.points) p.metrics.ops /= 2;
+  EXPECT_EQ(only_regression(cur, base).key, "config");
+  cur = base;
+  cur.ghz = 2.0;
+  EXPECT_EQ(only_regression(cur, base).key, "config");
 }
 
 TEST(SuiteGate, DetectsPlantedSimulatorSlowdown) {
@@ -406,10 +490,9 @@ TEST(SuiteGate, DetectsPlantedSimulatorSlowdown) {
   for (auto& p : base.points) p.metrics.sim_ops_per_sec = 1e6;
   SuiteResult cur = base;
   cur.points[0].metrics.sim_ops_per_sec *= 0.2;  // past the default 75% slack
-  const GateReport report = compare_to_baseline(cur, base);
-  ASSERT_EQ(report.regressions.size(), 1u);
-  EXPECT_EQ(report.regressions[0].point_id, base.points[0].def.id);
-  EXPECT_EQ(report.regressions[0].metric, "sim_ops_per_sec");
+  const GateIssue reg = only_regression(cur, base);
+  EXPECT_EQ(reg.point_id, base.points[0].def.id);
+  EXPECT_EQ(reg.key, "metrics.sim_ops_per_sec");
 }
 
 TEST(SuiteGate, SimSpeedSkippedWithoutBaselineDataOrWhenDisabled) {
@@ -424,36 +507,14 @@ TEST(SuiteGate, SimSpeedSkippedWithoutBaselineDataOrWhenDisabled) {
   for (auto& p : base2.points) p.metrics.sim_ops_per_sec = 1e6;
   SuiteResult cur2 = base2;
   cur2.points[0].metrics.sim_ops_per_sec = 1.0;  // 6 orders slower
-  GateTolerance tol;
-  tol.simops_rel = 1.0;
-  EXPECT_TRUE(compare_to_baseline(cur2, base2, tol).ok());
-}
-
-TEST(SuiteGate, WithinToleranceIsNotARegression) {
-  const SuiteResult base = tiny_result();
-  SuiteResult cur = base;
-  cur.points[0].metrics.throughput_ops_per_sec *= 0.95;  // within 10%
-  cur.points[1].metrics.attempts_per_op *= 1.10;         // within 15%
-  EXPECT_TRUE(compare_to_baseline(cur, base).ok());
+  EXPECT_TRUE(compare_to_baseline(cur2, base2, /*simops_rel=*/1.0).ok());
 }
 
 TEST(SuiteGate, MissingBaselinePointIsCoverageLoss) {
   const SuiteResult base = tiny_result();
   SuiteResult cur = base;
   cur.points.pop_back();
-  const GateReport report = compare_to_baseline(cur, base);
-  ASSERT_EQ(report.regressions.size(), 1u);
-  EXPECT_EQ(report.regressions[0].metric, "coverage");
-}
-
-TEST(SuiteGate, BigImprovementSuggestsBaselineRefresh) {
-  const SuiteResult base = tiny_result();
-  SuiteResult cur = base;
-  cur.points[0].metrics.throughput_ops_per_sec *= 2.0;
-  const GateReport report = compare_to_baseline(cur, base);
-  EXPECT_TRUE(report.ok());
-  ASSERT_EQ(report.improvements.size(), 1u);
-  EXPECT_EQ(report.improvements[0].metric, "throughput_ops_per_sec");
+  EXPECT_EQ(only_regression(cur, base).key, "coverage");
 }
 
 TEST(SuiteInvariants, ViolationIsReportedOnDoctoredResults) {

@@ -6,8 +6,7 @@
 //               [--host-threads N] [--out FILE]
 //               [--baseline FILE] [--gate] [--list] [--quiet]
 //               [--plant-regression FACTOR] [--plant-slowdown FACTOR]
-//               [--tol-throughput REL] [--tol-attempts REL]
-//               [--tol-fraction ABS] [--tol-simops REL] [--no-invariants]
+//               [--tol-simops REL] [--no-invariants]
 //
 // The run covers the tier's points, or only the registered point named by
 // --point ID (any tier). --jobs N runs up to N points at once on an
@@ -16,6 +15,10 @@
 // multi-seed runs out N-wide. Every simulated metric is deterministic per
 // seed, so all of these produce output identical to a sequential run except
 // for the host wall-time fields (wall_ms, sim_ops_per_sec, run.host).
+//
+// --gate requires every deterministic field of every point to equal the
+// baseline's (harness::compare_to_baseline); --tol-simops sets the one
+// tolerance left, on the host-speed field sim_ops_per_sec.
 //
 // Exit status: 0 on success; 1 if the gate found a regression or a
 // paper-qualitative invariant is violated; 2 on usage/IO errors.
@@ -56,7 +59,7 @@ struct Options {
   bool invariants = true;
   double plant_factor = 1.0;
   double plant_simops = 1.0;
-  harness::GateTolerance tol;
+  double tol_simops = harness::kDefaultSimopsRel;
 };
 
 [[noreturn]] void usage(const char* why) {
@@ -68,9 +71,7 @@ struct Options {
       "              [--host-threads N] [--out FILE]\n"
       "              [--baseline FILE] [--gate] [--list] [--quiet]\n"
       "              [--plant-regression FACTOR] [--plant-slowdown FACTOR]\n"
-      "              [--tol-throughput REL] [--tol-attempts REL]\n"
-      "              [--tol-fraction ABS] [--tol-simops REL]\n"
-      "              [--no-invariants]\n");
+      "              [--tol-simops REL] [--no-invariants]\n");
   std::exit(2);
 }
 
@@ -116,22 +117,10 @@ Options parse(int argc, char** argv) {
       const auto v = support::parse_double(next());
       if (!v || *v <= 0) usage("--plant-slowdown must be a number > 0");
       o.plant_simops = *v;
-    } else if (a == "--tol-throughput") {
-      const auto v = support::parse_double(next());
-      if (!v || *v < 0) usage("--tol-throughput must be a number >= 0");
-      o.tol.throughput_rel = *v;
-    } else if (a == "--tol-attempts") {
-      const auto v = support::parse_double(next());
-      if (!v || *v < 0) usage("--tol-attempts must be a number >= 0");
-      o.tol.attempts_rel = *v;
-    } else if (a == "--tol-fraction") {
-      const auto v = support::parse_double(next());
-      if (!v || *v < 0) usage("--tol-fraction must be a number >= 0");
-      o.tol.fraction_abs = *v;
     } else if (a == "--tol-simops") {
       const auto v = support::parse_double(next());
       if (!v || *v < 0) usage("--tol-simops must be a number >= 0");
-      o.tol.simops_rel = *v;
+      o.tol_simops = *v;
     } else {
       usage(("unknown argument " + a).c_str());
     }
@@ -222,13 +211,13 @@ int main(int argc, char** argv) {
   if (!o.quiet) progress.print();
   if (o.plant_factor != 1.0) {
     std::fprintf(stderr,
-                 "bench_suite: throughputs scaled by %.3f "
+                 "bench_suite: throughputs scaled by %g "
                  "(--plant-regression self-check mode)\n",
                  o.plant_factor);
   }
   if (o.plant_simops != 1.0) {
     std::fprintf(stderr,
-                 "bench_suite: sim_ops_per_sec scaled by %.3f "
+                 "bench_suite: sim_ops_per_sec scaled by %g "
                  "(--plant-slowdown self-check mode)\n",
                  o.plant_simops);
   }
@@ -278,7 +267,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const auto report =
-        harness::compare_to_baseline(result, *baseline, o.tol);
+        harness::compare_to_baseline(result, *baseline, o.tol_simops);
     harness::print_gate_report(report, report.ok() ? stdout : stderr);
     if (!report.ok()) rc = 1;
   }
