@@ -40,8 +40,10 @@
 # the t64 canary really runs >= 1.5x the committed pre-fast-path speed, a
 # planted-invalidation self-check (a deliberately stale cached line ref must
 # be caught by the generation stamp, not silently served) beside the
-# batching differential under ASan, and a gated full-tier run that must
-# carry the 128- and 256-thread fig5.1 machine-scale points.
+# batching differential under ASan, and a gated paper-tier run (a superset
+# of the full tier) that must carry the 128- and 256-thread fig5.1
+# machine-scale points. scripts/figures.py renders that run, and
+# EXPERIMENTS.md's generated tables must equal the fresh render.
 # Uses its own build trees (build-check*/) so it never dirties build/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -349,15 +351,30 @@ EOF
 "$SAN_BUILD"/tests/fastpath_test || {
   echo "check: batching differential failed under ASan/UBSan" >&2; exit 1; }
 
-# (c) Machine scale: the full tier must gate green against the committed
-# baseline and carry the 128- and 256-thread fig5.1 points the fast path
-# paid for (the t256 shape is the scheduler's kMaxSimThreads ceiling).
-bench_full_json=$(mktemp)
-trap 'rm -f "$metrics" "$bench_json" "$bench_full_json"' EXIT
-"$BUILD"/tools/bench_suite --tier full --out "$bench_full_json" \
-    --baseline bench/baseline.json --gate --tol-simops 0.9 --quiet || {
-  echo "check: bench_suite full-tier gate failed" >&2; exit 1; }
-python3 - "$bench_full_json" <<'EOF'
+# (c) Machine scale and the paper's figures: the paper tier holds the full
+# tier and every run of the RB-tree figures and ablations. Its points shared
+# with the committed baseline (all 48 full-tier points) must gate green
+# exactly; the rest are reported as notes. It must carry the 128- and
+# 256-thread fig5.1 points the fast path paid for (the t256 shape is the
+# scheduler's kMaxSimThreads ceiling).
+bench_paper_json=$(mktemp)
+experiments=$(mktemp)
+trap 'rm -f "$metrics" "$bench_json" "$bench_paper_json" "$experiments"' EXIT
+jobs=$(nproc 2>/dev/null || echo 1)
+[ "$jobs" -le 4 ] || jobs=4
+"$BUILD"/tools/bench_suite --tier paper --jobs "$jobs" \
+    --out "$bench_paper_json" --baseline bench/baseline.json --gate \
+    --tol-simops 0.9 --quiet || {
+  echo "check: bench_suite paper-tier gate failed" >&2; exit 1; }
+# EXPERIMENTS.md carries scripts/figures.py's tables of this run verbatim.
+cp EXPERIMENTS.md "$experiments"
+python3 scripts/figures.py "$bench_paper_json" --write "$experiments"
+diff -u EXPERIMENTS.md "$experiments" || {
+  echo "check: EXPERIMENTS.md's generated tables differ from a fresh" \
+       "render (python3 scripts/figures.py RESULTS --write EXPERIMENTS.md)" >&2
+  exit 1; }
+echo "figures: EXPERIMENTS.md's generated tables match the paper tier"
+python3 - "$bench_paper_json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 ids = {p["id"] for p in doc["points"]}
@@ -369,7 +386,7 @@ big = {p["id"]: p["metrics"] for p in doc["points"]
 for pid, m in big.items():
     assert m["tx"]["commits"] > 0, f"{pid}: no commits"
     assert m["spec_fraction"] > 0.5, f"{pid}: {m['spec_fraction']}"
-print(f"fastpath: full tier gated green with both machine-scale points"
+print(f"fastpath: paper tier gated green with both machine-scale points"
       f" ({len(ids)} points)")
 EOF
 
@@ -416,8 +433,8 @@ echo "CLI parsing: all tools reject malformed numeric flag values"
 # sim_ops_per_sec, run.host). The exact gate against the sequential results
 # checks that; --tol-simops 1 leaves host speed out of it.
 bench_thr_json=$(mktemp)
-trap 'rm -f "$metrics" "$bench_json" "$bench_full_json" "$bench_thr_json"' \
-    EXIT
+trap 'rm -f "$metrics" "$bench_json" "$bench_paper_json" "$experiments" \
+    "$bench_thr_json"' EXIT
 "$BUILD"/tools/bench_suite --tier smoke --jobs 2 --host-threads 2 \
     --out "$bench_thr_json" --baseline "$bench_json" --gate --tol-simops 1 \
     --quiet || {

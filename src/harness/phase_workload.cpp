@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "ds/rbtree.hpp"
+#include "locks/backoff_lock.hpp"
 #include "locks/clh_lock.hpp"
 #include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
@@ -84,6 +85,8 @@ RunStats run_phase_point_once(const PhasePoint& p) {
       return run_phase_with_lock<locks::TicketLock>(p, tree);
     case LockSel::kClh:
       return run_phase_with_lock<locks::ClhLock>(p, tree);
+    case LockSel::kBackoffTtas:
+      return run_phase_with_lock<locks::BackoffTtasLock>(p, tree);
   }
   return {};
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ds/rbtree.hpp"
+#include "locks/backoff_lock.hpp"
 #include "locks/clh_lock.hpp"
 #include "locks/mcs_lock.hpp"
 #include "locks/schemes.hpp"
@@ -32,6 +33,7 @@ constexpr LockSelNames kLockSels[] = {
     {LockSel::kClhAdj, locks::ClhLockAdjusted::kName, "clh-adj"},
     {LockSel::kTicket, locks::TicketLock::kName, "ticket"},
     {LockSel::kClh, locks::ClhLock::kName, "clh"},
+    {LockSel::kBackoffTtas, locks::BackoffTtasLock::kName, "backoff-ttas"},
 };
 
 }  // namespace
@@ -134,6 +136,8 @@ RunStats run_rb_point_once(const RbPoint& p) {
       return run_rb_with_lock<locks::TicketLock>(p, tree);
     case LockSel::kClh:
       return run_rb_with_lock<locks::ClhLock>(p, tree);
+    case LockSel::kBackoffTtas:
+      return run_rb_with_lock<locks::BackoffTtasLock>(p, tree);
   }
   return {};
 }

@@ -17,7 +17,15 @@
 
 namespace elision::harness {
 
-enum class LockSel { kTtas, kMcs, kTicketAdj, kClhAdj, kTicket, kClh };
+enum class LockSel {
+  kTtas,
+  kMcs,
+  kTicketAdj,
+  kClhAdj,
+  kTicket,
+  kClh,
+  kBackoffTtas,
+};
 
 // Display name ("TTAS", "Ticket-adj"; the lock's kName) and lower-case slug
 // ("ttas", "ticket-adj"; point ids and the CLIs' --lock flag).
@@ -95,13 +103,9 @@ RunStats run_rb_point_once(const RbPoint& p);
 // timelines.
 RunStats run_rb_point(const RbPoint& p);
 
-// The paper's tree-size sweep (Fig 3.1/3.4/5.2 x-axis).
+// The paper's tree-size sweep (Fig 3.1 x-axis).
 inline const std::size_t kTreeSizes[] = {2,    8,    32,   128,   512,
                                          2048, 8192, 32768, 131072, 524288};
-
-// A faster subset for the benches that run many (scheme x lock) combos.
-inline const std::size_t kTreeSizesSmall[] = {2, 8, 32, 128, 512, 2048, 8192,
-                                              32768};
 
 struct Mix {
   const char* name;

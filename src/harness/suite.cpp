@@ -4,12 +4,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <iterator>
+#include <map>
 #include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 
 #include "harness/micro_point.hpp"
+#include "support/check.hpp"
 #include "tsx/telemetry.hpp"
 
 namespace elision::harness {
@@ -29,6 +31,7 @@ const char* suite_tier_name(SuiteTier t) {
   switch (t) {
     case SuiteTier::kSmoke: return "smoke";
     case SuiteTier::kFull: return "full";
+    case SuiteTier::kPaper: return "paper";
   }
   return "?";
 }
@@ -36,6 +39,7 @@ const char* suite_tier_name(SuiteTier t) {
 std::optional<SuiteTier> suite_tier_from_name(const std::string& name) {
   if (name == "smoke") return SuiteTier::kSmoke;
   if (name == "full") return SuiteTier::kFull;
+  if (name == "paper") return SuiteTier::kPaper;
   return std::nullopt;
 }
 
@@ -45,17 +49,39 @@ namespace {
 //
 // Each kind's point fields, in JSON line order: the key, the member it
 // mirrors, the `--list` column it fills (if any), and whether it is an
-// override written only when non-zero. Overrides go on a second line so the
-// lines of points that leave them unset stay byte-identical to documents
-// written before the override existed. The JSON emitter, the parser and
-// `--list` all walk these tables, so a field added here is written, read
-// back and listed consistently.
+// override, written only when it differs from a default-constructed point.
+// Overrides go on a second line so the lines of points that leave them
+// unset stay byte-identical to documents written before the override
+// existed. The JSON emitter, the parser and `--list` all walk these tables,
+// so a field added here is written, read back and listed consistently.
+// Beside each table, id() spells the point's stable id from its fields.
 template <class P, class T>
 struct Field {
   const char* key;
   T P::*member;
   const char* column;
-  bool nonzero_only;
+  bool is_override;
+
+  template <class Q>
+  auto& of(Q& p) const {
+    return p.*member;
+  }
+  T default_value() const { return P{}.*member; }
+};
+
+// An override of the point's engine configuration (RbPoint::tsx).
+template <class T>
+struct TsxField {
+  const char* key;
+  T tsx::TsxConfig::*member;
+  const char* column = nullptr;
+  bool is_override = true;
+
+  template <class Q>
+  auto& of(Q& p) const {
+    return p.tsx.*member;
+  }
+  T default_value() const { return tsx::TsxConfig{}.*member; }
 };
 
 template <class P, class T>
@@ -67,6 +93,33 @@ constexpr Field<P, T> field(const char* key, T P::*member,
 template <class P, class T>
 constexpr Field<P, T> override_field(const char* key, T P::*member) {
   return {key, member, nullptr, true};
+}
+
+template <class T>
+constexpr TsxField<T> tsx_field(const char* key, T tsx::TsxConfig::*member) {
+  return {key, member};
+}
+
+const char* conflict_policy_name(tsx::ConflictPolicy c) {
+  return c == tsx::ConflictPolicy::kOldestWins ? "oldest-wins"
+                                               : "requestor-wins";
+}
+
+std::string text(double d);
+
+// Concatenates strings and numbers, the numbers as text() writes them.
+template <class... Parts>
+std::string cat(const Parts&... parts) {
+  std::string out;
+  auto append = [&](const auto& part) {
+    if constexpr (std::is_arithmetic_v<std::remove_cvref_t<decltype(part)>>) {
+      out += text(part);
+    } else {
+      out += part;
+    }
+  };
+  (append(parts), ...);
+  return out;
 }
 
 template <class P>
@@ -88,11 +141,45 @@ struct Fields<RbPoint> {
       override_field("smt_per_core", &RbPoint::smt_per_core),
       override_field("yield_slack_cycles", &RbPoint::yield_slack_cycles),
       override_field("micro_ops", &RbPoint::micro_ops),
-      override_field("micro_shared_period", &RbPoint::micro_shared_period)};
+      override_field("micro_shared_period", &RbPoint::micro_shared_period),
+      tsx_field("conflict_policy", &tsx::TsxConfig::conflict_policy),
+      tsx_field("allow_hle_in_rtm", &tsx::TsxConfig::allow_hle_in_rtm),
+      tsx_field("hardware_extension", &tsx::TsxConfig::hardware_extension),
+      tsx_field("spurious_per_begin", &tsx::TsxConfig::spurious_per_begin),
+      tsx_field("spurious_per_access", &tsx::TsxConfig::spurious_per_access)};
+
+  // rb-s<size>-u<update%>-t<threads>-<lock>-<scheme>, then one tag per
+  // setting that tells registered points apart: the machine shape, the
+  // engine's conflict policy, Ch. 7 extension and spurious-abort rates, and
+  // a duration other than the default 3 ms.
+  // allow_hle_in_rtm takes no tag: only hle-scm-nested reads it, and that
+  // scheme's name already says it nests.
+  static std::string id(const RbPoint& p) {
+    const RbPoint def;
+    std::string id = cat("rb-s", p.size, "-u", p.update_pct, "-t", p.threads,
+                         "-", lock_sel_slug(p.lock), "-", p.scheme.spec());
+    if (p.n_cores != 0) id += cat("-m", p.n_cores, "x", p.smt_per_core);
+    if (p.tsx.conflict_policy != def.tsx.conflict_policy) {
+      id += cat("-", conflict_policy_name(p.tsx.conflict_policy));
+    }
+    if (p.tsx.hardware_extension) id += "-hwext";
+    if (p.tsx.spurious_per_begin != def.tsx.spurious_per_begin) {
+      id += cat("-spb", p.tsx.spurious_per_begin);
+    }
+    if (p.tsx.spurious_per_access != def.tsx.spurious_per_access) {
+      id += cat("-spa", p.tsx.spurious_per_access);
+    }
+    if (p.duration_sec != def.duration_sec) id += cat("-d", p.duration_sec);
+    return id;
+  }
 };
 
 template <>
-struct Fields<MicroShape> : Fields<RbPoint> {};
+struct Fields<MicroShape> : Fields<RbPoint> {
+  static std::string id(const MicroShape& p) {
+    return cat("micro-engine-rtm-t", p.threads);
+  }
+};
 
 template <>
 struct Fields<BtPoint> {
@@ -108,6 +195,13 @@ struct Fields<BtPoint> {
       field("duration_sec", &BtPoint::duration_sec),
       field("seed", &BtPoint::seed),
       field("telemetry", &BtPoint::telemetry)};
+
+  // bt-s<size>-u<update%>-c<scan%>-l<scan len>-t<threads>-<lock>-<policy>.
+  static std::string id(const BtPoint& p) {
+    return cat("bt-s", p.size, "-u", p.update_pct, "-c", p.scan_pct, "-l",
+               p.scan_len, "-t", p.threads, "-", shared_lock_sel_name(p.lock),
+               "-", p.policy.spec());
+  }
 };
 
 template <>
@@ -123,6 +217,13 @@ struct Fields<PhasePoint> {
       field("phase_sec", &PhasePoint::phase_sec),
       field("seed", &PhasePoint::seed),
       field("telemetry", &PhasePoint::telemetry)};
+
+  // ph-s<size>-u<calm%>-<storm%>-t<threads>-<lock>-<scheme>.
+  static std::string id(const PhasePoint& p) {
+    return cat("ph-s", p.size, "-u", p.calm_update_pct, "-",
+               p.storm_update_pct, "-t", p.threads, "-", lock_sel_slug(p.lock),
+               "-", p.scheme.spec());
+  }
 };
 
 template <>
@@ -144,6 +245,15 @@ struct Fields<service::KvPoint> {
       field("duration_sec", &P::duration_sec),
       field("seed", &P::seed),
       field("telemetry", &P::telemetry)};
+
+  // kv-sh<shards>-k<keys>-z<theta x100>-u<mutating %>-t<threads>-<policy>;
+  // the mutating share is put + multi_put + transfer.
+  static std::string id(const P& p) {
+    return cat("kv-sh", p.shards, "-k", p.keys, "-z",
+               static_cast<int>(p.zipf_theta * 100 + 0.5), "-u",
+               p.put_pct + p.multi_put_pct + p.transfer_pct, "-t", p.threads,
+               "-", p.policy.spec());
+  }
 };
 
 // Calls fn(field, value) for every field of the spec's kind, in table
@@ -153,7 +263,7 @@ void for_each_field(Spec& spec, Fn&& fn) {
   std::visit(
       [&](auto& p) {
         using P = std::remove_cvref_t<decltype(p)>;
-        std::apply([&](const auto&... f) { (fn(f, p.*f.member), ...); },
+        std::apply([&](const auto&... f) { (fn(f, f.of(p)), ...); },
                    Fields<P>::all);
       },
       spec);
@@ -173,6 +283,7 @@ std::string text(double d) {
   return buf;
 }
 std::string text(LockSel l) { return lock_sel_name(l); }
+std::string text(tsx::ConflictPolicy c) { return conflict_policy_name(c); }
 std::string text(SharedLockSel l) { return shared_lock_sel_name(l); }
 std::string text(const locks::ElisionPolicy& p) { return p.spec(); }
 
@@ -181,12 +292,6 @@ std::string json_member(const char* key, const T& v) {
   std::string out = std::string("\"") + key + "\":";
   if constexpr (std::is_arithmetic_v<T>) return out + text(v);
   return out + '"' + support::json::escape(text(v)) + '"';
-}
-
-template <class T>
-bool is_zero(const T& v) {
-  if constexpr (std::is_arithmetic_v<T>) return v == T{};
-  return false;
 }
 
 // Reads a JSON value into a field; false if a name does not parse.
@@ -216,7 +321,10 @@ bool read_enum(const support::json::Value& v, E& out, E last) {
   return false;
 }
 bool read(const support::json::Value& v, LockSel& out) {
-  return read_enum(v, out, LockSel::kClh);
+  return read_enum(v, out, LockSel::kBackoffTtas);
+}
+bool read(const support::json::Value& v, tsx::ConflictPolicy& out) {
+  return read_enum(v, out, tsx::ConflictPolicy::kOldestWins);
 }
 bool read(const support::json::Value& v, SharedLockSel& out) {
   return read_enum(v, out, SharedLockSel::kSharedMcs);
@@ -243,11 +351,10 @@ bool emplace_kind(PointSpec& spec, const std::string& name) {
 
 // ---- the registry ----
 
-// Point ids and the JSON "scheme" field both use the policy's canonical
-// spec spelling (locks/policy.hpp).
-SuitePoint make_point(SuiteTier tier, const char* figure, std::size_t size,
-                      int update_pct, int threads, LockSel lock,
-                      locks::ElisionPolicy scheme, bool telemetry = false) {
+// Point definitions with the registry's defaults: 3 ms of virtual time (the
+// phase points run 1 ms per phase) and two seeds, one for a solo thread.
+RbPoint rb(std::size_t size, int update_pct, int threads, LockSel lock,
+           locks::ElisionPolicy scheme, bool telemetry = false) {
   RbPoint p;
   p.size = size;
   p.update_pct = update_pct;
@@ -257,43 +364,45 @@ SuitePoint make_point(SuiteTier tier, const char* figure, std::size_t size,
   p.telemetry = telemetry;
   p.duration_sec = 0.003;
   p.seeds = threads == 1 ? 1 : 2;
-  return {"rb-s" + std::to_string(size) + "-u" + std::to_string(update_pct) +
-              "-t" + std::to_string(threads) + "-" + lock_sel_slug(lock) +
-              "-" + scheme.spec(),
-          tier, figure, p};
+  return p;
+}
+
+// Algorithm 3 as designed: HLE nested in SCM's RTM transaction, which only
+// runs where the engine allows HLE inside RTM (locks/scm.hpp).
+RbPoint scm_nested(std::size_t size, int update_pct) {
+  RbPoint p = rb(size, update_pct, 8, LockSel::kTtas,
+                 locks::ElisionPolicy::hle_scm_nested());
+  p.tsx.allow_hle_in_rtm = true;
+  return p;
 }
 
 // The fig5.1 shape on a `cores`-core / 2-SMT machine. A bit of yield slack
 // keeps the wide interleaving from degenerating into access-granularity
-// round-robin; the -m<cores>x2 suffix keeps future shapes at the same
-// (size, threads) distinct.
-SuitePoint big_machine_point(int threads, unsigned cores) {
-  SuitePoint sp = make_point(SuiteTier::kFull, "fig5.1-big", 64, 20, threads,
-                             LockSel::kTtas, locks::ElisionPolicy::hle_scm());
-  auto& p = std::get<RbPoint>(sp.spec);
+// round-robin.
+RbPoint big_machine(int threads, unsigned cores) {
+  RbPoint p = rb(64, 20, threads, LockSel::kTtas,
+                 locks::ElisionPolicy::hle_scm());
   p.n_cores = cores;
   p.smt_per_core = 2;
   p.yield_slack_cycles = 200;
-  sp.id += "-m" + std::to_string(cores) + "x2";
-  return sp;
+  return p;
 }
 
 // Fixed-work simulator-speed canary (harness/micro_point.hpp): one seed, no
 // virtual-time limit.
-SuitePoint make_micro_point(const char* id, int threads, std::size_t words) {
+MicroShape micro(int threads, std::size_t words) {
   MicroShape p;
   p.threads = threads;
   p.size = words;
   p.update_pct = 0;
   p.seeds = 1;
   p.duration_sec = 0.0;
-  return {id, SuiteTier::kSmoke, "sim-speed", p};
+  return p;
 }
 
-SuitePoint make_bt_point(SuiteTier tier, const char* figure, std::size_t size,
-                         int update_pct, int scan_pct, std::size_t scan_len,
-                         int threads, SharedLockSel lock,
-                         locks::ElisionPolicy policy, bool telemetry = false) {
+BtPoint bt(std::size_t size, int update_pct, int scan_pct,
+           std::size_t scan_len, int threads, SharedLockSel lock,
+           locks::ElisionPolicy policy, bool telemetry = false) {
   BtPoint p;
   p.size = size;
   p.update_pct = update_pct;
@@ -305,20 +414,13 @@ SuitePoint make_bt_point(SuiteTier tier, const char* figure, std::size_t size,
   p.telemetry = telemetry;
   p.duration_sec = 0.003;
   p.seeds = threads == 1 ? 1 : 2;
-  return {"bt-s" + std::to_string(size) + "-u" + std::to_string(update_pct) +
-              "-c" + std::to_string(scan_pct) + "-l" +
-              std::to_string(scan_len) + "-t" + std::to_string(threads) +
-              "-" + shared_lock_sel_name(lock) + "-" + policy.spec(),
-          tier, figure, p};
+  return p;
 }
 
-// Sharded-KV service points. The id encodes the shard/domain/skew/mix shape
-// (z = zipf theta x100) next to the policy, like every other kind.
-SuitePoint make_kv_point(SuiteTier tier, const char* figure, int shards,
-                         std::size_t keys, int clients, double zipf_theta,
-                         int put_pct, int multi_put_pct, int transfer_pct,
-                         int threads, locks::ElisionPolicy policy,
-                         bool telemetry = false) {
+service::KvPoint kv(int shards, std::size_t keys, int clients,
+                    double zipf_theta, int put_pct, int multi_put_pct,
+                    int transfer_pct, int threads,
+                    locks::ElisionPolicy policy, bool telemetry = false) {
   service::KvPoint p;
   p.shards = shards;
   p.keys = keys;
@@ -332,17 +434,11 @@ SuitePoint make_kv_point(SuiteTier tier, const char* figure, int shards,
   p.telemetry = telemetry;
   p.duration_sec = 0.003;
   p.seeds = threads == 1 ? 1 : 2;
-  return {"kv-sh" + std::to_string(shards) + "-k" + std::to_string(keys) +
-              "-z" + std::to_string(static_cast<int>(zipf_theta * 100 + 0.5)) +
-              "-u" + std::to_string(put_pct + multi_put_pct + transfer_pct) +
-              "-t" + std::to_string(threads) + "-" + policy.spec(),
-          tier, figure, p};
+  return p;
 }
 
-SuitePoint make_phase_point(SuiteTier tier, const char* figure,
-                            std::size_t size, int calm_pct, int storm_pct,
-                            int threads, LockSel lock,
-                            locks::ElisionPolicy policy) {
+PhasePoint phase(std::size_t size, int calm_pct, int storm_pct, int threads,
+                 LockSel lock, locks::ElisionPolicy policy) {
   PhasePoint p;
   p.size = size;
   p.calm_update_pct = calm_pct;
@@ -352,65 +448,84 @@ SuitePoint make_phase_point(SuiteTier tier, const char* figure,
   p.scheme = policy;
   p.phase_sec = 0.001;
   p.seeds = 2;
-  return {"ph-s" + std::to_string(size) + "-u" + std::to_string(calm_pct) +
-              "-" + std::to_string(storm_pct) + "-t" +
-              std::to_string(threads) + "-" + lock_sel_slug(lock) + "-" +
-              policy.spec(),
-          tier, figure, p};
+  return p;
+}
+
+// A point's definition fields as text, telemetry left out: it records
+// events beside the run without changing it.
+std::string definition(const PointSpec& spec) {
+  std::string out;
+  for_each_field(spec, [&](const auto& f, const auto& value) {
+    if (std::string_view(f.key) != "telemetry") {
+      out += json_member(f.key, value);
+    }
+  });
+  return out;
 }
 
 std::vector<SuitePoint> build_points() {
   using locks::ElisionPolicy;
   constexpr SuiteTier S = SuiteTier::kSmoke;
   constexpr SuiteTier F = SuiteTier::kFull;
-  std::vector<SuitePoint> v;
+  std::vector<SuitePoint> points;
+  std::map<std::string, std::size_t> index;
+  // Registers a point under the id its fields spell. Smoke and full ids are
+  // new; a paper-tier sweep may meet a run registered before, which keeps
+  // its first tier and figure label and must define the same run.
+  auto add = [&](SuiteTier tier, const char* figure, PointSpec spec) {
+    std::string id = point_id(spec);
+    const auto [at, fresh] = index.emplace(id, points.size());
+    if (fresh) {
+      points.push_back({std::move(id), tier, figure, std::move(spec)});
+    } else {
+      ELISION_CHECK_MSG(tier == SuiteTier::kPaper &&
+                            definition(points[at->second].spec) ==
+                                definition(spec),
+                        "two registrations of one suite point id differ");
+    }
+  };
+  auto sweep = [&](const char* figure, PointSpec spec) {
+    add(SuiteTier::kPaper, figure, std::move(spec));
+  };
 
   // --- smoke tier: the qualitative backbone of Ch. 3/5/6, < 30s wall ---
   // Contended small tree on TTAS (Fig 5.1/5.2 left edge).
-  v.push_back(make_point(S, "fig5.1", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::standard()));
-  v.push_back(
-      make_point(S, "fig5.1", 64, 20, 8, LockSel::kTtas, ElisionPolicy::hle()));
-  v.push_back(make_point(S, "fig5.2", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(S, "fig5.2", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::opt_slr_scm()));
+  add(S, "fig5.1", rb(64, 20, 8, LockSel::kTtas, ElisionPolicy::standard()));
+  add(S, "fig5.1", rb(64, 20, 8, LockSel::kTtas, ElisionPolicy::hle()));
+  add(S, "fig5.2", rb(64, 20, 8, LockSel::kTtas, ElisionPolicy::hle_scm()));
+  add(S, "fig5.2",
+      rb(64, 20, 8, LockSel::kTtas, ElisionPolicy::opt_slr_scm()));
   // Contended MCS: the avalanche point (Fig 3.3) and its SCM rescue, with
   // telemetry so episode counts land in the results.
-  v.push_back(make_point(S, "fig3.3", 64, 20, 8, LockSel::kMcs,
-                         ElisionPolicy::hle(), /*telemetry=*/true));
-  v.push_back(make_point(S, "fig5.2", 64, 20, 8, LockSel::kMcs,
-                         ElisionPolicy::hle_scm(), /*telemetry=*/true));
+  add(S, "fig3.3",
+      rb(64, 20, 8, LockSel::kMcs, ElisionPolicy::hle(), /*telemetry=*/true));
+  add(S, "fig5.2", rb(64, 20, 8, LockSel::kMcs, ElisionPolicy::hle_scm(),
+                      /*telemetry=*/true));
   // Low-contention big tree (Fig 3.4 right edge: elision pays off solo).
-  v.push_back(make_point(S, "fig3.4", 8192, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle()));
+  add(S, "fig3.4", rb(8192, 20, 8, LockSel::kTtas, ElisionPolicy::hle()));
   // Ch. 6 fair locks, solo: adjusted ticket/CLH must elide, the unadjusted
   // ticket must not (XRELEASE mismatch on every attempt).
-  v.push_back(make_point(S, "ch6", 64, 20, 1, LockSel::kTicketAdj,
-                         ElisionPolicy::hle()));
-  v.push_back(
-      make_point(S, "ch6", 64, 20, 1, LockSel::kClhAdj, ElisionPolicy::hle()));
-  v.push_back(
-      make_point(S, "ch6", 64, 20, 1, LockSel::kTicket, ElisionPolicy::hle()));
+  add(S, "ch6", rb(64, 20, 1, LockSel::kTicketAdj, ElisionPolicy::hle()));
+  add(S, "ch6", rb(64, 20, 1, LockSel::kClhAdj, ElisionPolicy::hle()));
+  add(S, "ch6", rb(64, 20, 1, LockSel::kTicket, ElisionPolicy::hle()));
   // Simulator-speed canary: fixed-work RTM microbenchmark whose
   // sim_ops_per_sec (simulated ops per host second) gates host-side engine
   // performance. Its simulated metrics are deterministic like every other
   // point's.
-  v.push_back(make_micro_point("micro-engine-rtm-t8", 8, 1024));
+  add(S, "sim-speed", micro(8, 1024));
   // Big-machine simulator-speed canary: 64 threads on a 32-core / 2-SMT
   // machine, striped stripes with a sparser shared-line period (every 64th
   // op) and a little yield slack so the scheduler runs long bursts — the
   // configuration the O(log N) ready queue exists for. Gated like the t8
   // canary; the two together pin both ends of the machine-size range.
   {
-    SuitePoint sp = make_micro_point("micro-engine-rtm-t64", 64, 16384);
-    auto& p = std::get<MicroShape>(sp.spec);
+    MicroShape p = micro(64, 16384);
     p.micro_ops = 8000;
     p.micro_shared_period = 64;
     p.n_cores = 32;
     p.smt_per_core = 2;
     p.yield_slack_cycles = 200;
-    v.push_back(sp);
+    add(S, "sim-speed", p);
   }
 
   // Two-mode B+tree points (shared-mode elision). The read-mostly pair is
@@ -423,15 +538,15 @@ std::vector<SuitePoint> build_points() {
   // watches the reader-avalanche (a writer's real acquisition of the
   // reader-writer word aborts the whole subscribed reader crowd) through
   // telemetry.
-  v.push_back(make_bt_point(S, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas, ElisionPolicy::hle()));
-  v.push_back(make_bt_point(S, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::hle().shared()));
-  v.push_back(make_bt_point(S, "shared-avalanche", 128, 80, 30, 16, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::hle().shared(),
-                            /*telemetry=*/true));
+  add(S, "shared-elision", bt(1024, 10, 100, 64, 8,
+                              SharedLockSel::kSharedTtas,
+                              ElisionPolicy::hle()));
+  add(S, "shared-elision", bt(1024, 10, 100, 64, 8,
+                              SharedLockSel::kSharedTtas,
+                              ElisionPolicy::hle().shared()));
+  add(S, "shared-avalanche",
+      bt(128, 80, 30, 16, 8, SharedLockSel::kSharedTtas,
+         ElisionPolicy::hle().shared(), /*telemetry=*/true));
 
   // Phase-shifting adaptive headline (ROADMAP item 2): one read-mostly ->
   // write-storm -> read-mostly run, adaptive against each of its four
@@ -442,8 +557,7 @@ std::vector<SuitePoint> build_points() {
        {ElisionPolicy::adaptive(), ElisionPolicy::hle(),
         ElisionPolicy::hle_scm(), ElisionPolicy::hle_grouped_scm(),
         ElisionPolicy::standard()}) {
-    v.push_back(make_phase_point(S, "adaptive-phases", 12, 10, 100, 16,
-                                 LockSel::kTtas, pol));
+    add(S, "adaptive-phases", phase(12, 10, 100, 16, LockSel::kTtas, pol));
   }
 
   // Sharded KV service under Zipf-skewed open-loop traffic (ROADMAP item 1:
@@ -452,70 +566,56 @@ std::vector<SuitePoint> build_points() {
   // baseline (plus plain locking for scale); the hot-shard point cranks the
   // skew until one shard saturates and — with telemetry on — must show the
   // avalanche signature there.
-  v.push_back(make_kv_point(S, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::standard()));
-  v.push_back(make_kv_point(S, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::hle()));
-  v.push_back(make_kv_point(S, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::adaptive()));
-  v.push_back(make_kv_point(S, "kv-hot-shard", 8, 8192, 4000, 1.20,
-                            40, 5, 5, 8, ElisionPolicy::hle(),
-                            /*telemetry=*/true));
+  for (const ElisionPolicy& pol :
+       {ElisionPolicy::standard(), ElisionPolicy::hle(),
+        ElisionPolicy::adaptive()}) {
+    add(S, "kv-service", kv(8, 8192, 2000, 0.99, 20, 5, 5, 8, pol));
+  }
+  add(S, "kv-hot-shard", kv(8, 8192, 4000, 1.20, 40, 5, 5, 8,
+                            ElisionPolicy::hle(), /*telemetry=*/true));
 
   // --- full tier: wider scheme / size / mix / lock coverage ---
   // KV coverage: SCM-managed and grouped-SCM service variants on the
   // standard mix, and a cross-shard-heavy mix exercising the multi-lock
   // elision region and its ordered fallback.
-  v.push_back(make_kv_point(F, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::hle_scm()));
-  v.push_back(make_kv_point(F, "kv-service", 8, 8192, 2000, 0.99,
-                            20, 5, 5, 8, ElisionPolicy::hle_grouped_scm()));
-  v.push_back(make_kv_point(F, "kv-cross-shard", 8, 8192, 2000, 0.99,
-                            10, 25, 25, 8, ElisionPolicy::hle()));
+  add(F, "kv-service",
+      kv(8, 8192, 2000, 0.99, 20, 5, 5, 8, ElisionPolicy::hle_scm()));
+  add(F, "kv-service", kv(8, 8192, 2000, 0.99, 20, 5, 5, 8,
+                          ElisionPolicy::hle_grouped_scm()));
+  add(F, "kv-cross-shard",
+      kv(8, 8192, 2000, 0.99, 10, 25, 25, 8, ElisionPolicy::hle()));
   // Shared-mode coverage: the fair family member, the SCM-managed pair
   // (fallbacks gated through the auxiliary lock never happen on this mix,
   // so the two run identically — speculation already admits everyone), and
   // the no-speculation shared baseline.
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedMcs,
-                            ElisionPolicy::hle().shared()));
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedMcs, ElisionPolicy::hle()));
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::hle_scm().shared()));
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::hle_scm()));
-  v.push_back(make_bt_point(F, "shared-elision", 1024, 10, 100, 64, 8,
-                            SharedLockSel::kSharedTtas,
-                            ElisionPolicy::standard().shared()));
-  v.push_back(make_point(F, "fig5.2", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::pes_slr()));
-  v.push_back(make_point(F, "fig5.2", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::opt_slr()));
-  v.push_back(make_point(F, "fig5.1", 64, 20, 8, LockSel::kMcs,
-                         ElisionPolicy::standard()));
-  v.push_back(make_point(F, "fig5.2", 64, 20, 8, LockSel::kMcs,
-                         ElisionPolicy::opt_slr_scm()));
-  v.push_back(make_point(F, "fig3.4", 512, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle()));
-  v.push_back(make_point(F, "fig3.4", 32768, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle()));
-  v.push_back(make_point(F, "fig5.1", 64, 0, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(F, "fig5.1", 64, 100, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(F, "tbl-fairlocks", 64, 20, 8, LockSel::kTicketAdj,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(F, "tbl-fairlocks", 64, 20, 8, LockSel::kClhAdj,
-                         ElisionPolicy::hle_scm()));
-  v.push_back(make_point(F, "fig3.5", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::rtm_elide()));
-  v.push_back(make_point(F, "abl-scm-nested", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_scm_nested()));
-  v.push_back(make_point(F, "abl-grouped-scm", 64, 20, 8, LockSel::kTtas,
-                         ElisionPolicy::hle_grouped_scm()));
+  for (const auto& [lock, pol] :
+       {std::pair{SharedLockSel::kSharedMcs, ElisionPolicy::hle().shared()},
+        std::pair{SharedLockSel::kSharedMcs, ElisionPolicy::hle()},
+        std::pair{SharedLockSel::kSharedTtas,
+                  ElisionPolicy::hle_scm().shared()},
+        std::pair{SharedLockSel::kSharedTtas, ElisionPolicy::hle_scm()},
+        std::pair{SharedLockSel::kSharedTtas,
+                  ElisionPolicy::standard().shared()}}) {
+    add(F, "shared-elision", bt(1024, 10, 100, 64, 8, lock, pol));
+  }
+  add(F, "fig5.2", rb(64, 20, 8, LockSel::kTtas, ElisionPolicy::pes_slr()));
+  add(F, "fig5.2", rb(64, 20, 8, LockSel::kTtas, ElisionPolicy::opt_slr()));
+  add(F, "fig5.1", rb(64, 20, 8, LockSel::kMcs, ElisionPolicy::standard()));
+  add(F, "fig5.2",
+      rb(64, 20, 8, LockSel::kMcs, ElisionPolicy::opt_slr_scm()));
+  add(F, "fig3.4", rb(512, 20, 8, LockSel::kTtas, ElisionPolicy::hle()));
+  add(F, "fig3.4", rb(32768, 20, 8, LockSel::kTtas, ElisionPolicy::hle()));
+  add(F, "fig5.1", rb(64, 0, 8, LockSel::kTtas, ElisionPolicy::hle_scm()));
+  add(F, "fig5.1", rb(64, 100, 8, LockSel::kTtas, ElisionPolicy::hle_scm()));
+  add(F, "tbl-fairlocks",
+      rb(64, 20, 8, LockSel::kTicketAdj, ElisionPolicy::hle_scm()));
+  add(F, "tbl-fairlocks",
+      rb(64, 20, 8, LockSel::kClhAdj, ElisionPolicy::hle_scm()));
+  add(F, "fig3.5",
+      rb(64, 20, 8, LockSel::kTtas, ElisionPolicy::rtm_elide()));
+  add(F, "abl-scm-nested", scm_nested(64, 20));
+  add(F, "abl-grouped-scm",
+      rb(64, 20, 8, LockSel::kTtas, ElisionPolicy::hle_grouped_scm()));
   // Big-machine scaling points: the fig5.1 shape at 64 threads on a 32-core
   // / 2-SMT machine — the regime Fissile Locks / the HTM tree template
   // report from and the reason the scheduler grew an O(log N) ready queue —
@@ -523,13 +623,126 @@ std::vector<SuitePoint> build_points() {
   // is the scheduler's kMaxSimThreads cap and exercises the ready queue's
   // full two-level tournament). The per-access fast path bought the host
   // headroom to simulate them in the full tier at all.
-  v.push_back(big_machine_point(64, 32));
-  v.push_back(big_machine_point(128, 64));
-  v.push_back(big_machine_point(256, 128));
-  return v;
+  add(F, "fig5.1-big", big_machine(64, 32));
+  add(F, "fig5.1-big", big_machine(128, 64));
+  add(F, "fig5.1-big", big_machine(256, 128));
+
+  // --- paper tier: every run of the RB-tree figures of Ch. 3-7 and of the
+  // RB ablations, swept over their axes (scripts/figures.py renders them).
+  // Figures share their baselines, so a run registered before keeps its
+  // first tier and label.
+  const std::size_t sizes[] = {2, 8, 32, 128, 512, 2048, 8192, 32768};
+  const LockSel ttas_mcs[] = {LockSel::kTtas, LockSel::kMcs};
+  // Fig 3.4: plain HLE against the standard lock, by contention.
+  for (const int threads : {4, 8}) {
+    for (const Mix& mix : kMixes) {
+      for (const LockSel lock : ttas_mcs) {
+        for (const std::size_t size : sizes) {
+          for (const ElisionPolicy& pol :
+               {ElisionPolicy::standard(), ElisionPolicy::hle()}) {
+            sweep("fig3.4", rb(size, mix.update_pct, threads, lock, pol));
+          }
+        }
+      }
+    }
+  }
+  // Fig 3.5 (RTM-based elision) and Fig 5.2 (the software-assisted schemes)
+  // at 8 threads, over the same axes. Fig 5.3 is Fig 5.2's 50i-50d slice.
+  for (const Mix& mix : kMixes) {
+    for (const LockSel lock : ttas_mcs) {
+      for (const std::size_t size : sizes) {
+        sweep("fig3.5",
+              rb(size, mix.update_pct, 8, lock, ElisionPolicy::rtm_elide()));
+        for (const ElisionPolicy& pol :
+             {ElisionPolicy::hle_scm(), ElisionPolicy::pes_slr(),
+              ElisionPolicy::opt_slr(), ElisionPolicy::opt_slr_scm()}) {
+          sweep("fig5.2", rb(size, mix.update_pct, 8, lock, pol));
+        }
+      }
+    }
+  }
+  // Ch. 7: plain HLE without and with the proposed hardware extension, for
+  // a quarter of the default duration: 3 ms never finish on the 8-key TTAS
+  // tree with updates (the extension's run livelocks or crashes somewhere
+  // past 0.75 ms of virtual time).
+  for (const Mix& mix : kMixes) {
+    for (const LockSel lock : ttas_mcs) {
+      for (const std::size_t size : {8, 128, 2048, 32768}) {
+        for (const bool extension : {false, true}) {
+          RbPoint p = rb(size, mix.update_pct, 8, lock, ElisionPolicy::hle());
+          p.duration_sec = 0.00075;
+          p.tsx.hardware_extension = extension;
+          sweep("ch7", p);
+        }
+      }
+    }
+  }
+  // Ch. 6: the fair locks, unadjusted and adjusted, beside MCS.
+  for (const LockSel lock : {LockSel::kTicket, LockSel::kClh,
+                             LockSel::kTicketAdj, LockSel::kClhAdj,
+                             LockSel::kMcs}) {
+    for (const std::size_t size : {64, 2048, 32768}) {
+      for (const ElisionPolicy& pol :
+           {ElisionPolicy::standard(), ElisionPolicy::hle(),
+            ElisionPolicy::hle_scm()}) {
+        sweep("tbl-fairlocks", rb(size, 20, 8, lock, pol));
+      }
+    }
+  }
+  // Ablation: opt-SLR with and without SCM under requestor-wins and the
+  // TLR-style oldest-wins conflict policy.
+  for (const std::size_t size : {16, 128, 2048}) {
+    for (const auto policy : {tsx::ConflictPolicy::kRequestorWins,
+                              tsx::ConflictPolicy::kOldestWins}) {
+      for (const ElisionPolicy& pol :
+           {ElisionPolicy::opt_slr(), ElisionPolicy::opt_slr_scm()}) {
+        RbPoint p = rb(size, 100, 8, LockSel::kTtas, pol);
+        p.tsx.conflict_policy = policy;
+        sweep("abl-conflict-policy", p);
+      }
+    }
+  }
+  // Ablation: Algorithm 3 as designed against the evaluated workaround.
+  for (const std::size_t size : {64, 2048}) {
+    for (const int update_pct : {20, 100}) {
+      sweep("abl-scm-nested", rb(size, update_pct, 8, LockSel::kTtas,
+                                 ElisionPolicy::hle_scm()));
+      sweep("abl-scm-nested", scm_nested(size, update_pct));
+    }
+  }
+  // Ablations of Sec. 5.1 / 2.2 / Ch. 8: the SCM MAX_RETRIES sweep, the
+  // spurious-abort rate on a lookup-only tree, and backoff against SCM.
+  for (const int retries : {0, 1, 2, 5, 10, 20, 50}) {
+    sweep("abl-tuning",
+          rb(128, 100, 8, LockSel::kMcs,
+             ElisionPolicy::hle_scm().with_scm_retries(retries)));
+  }
+  for (const auto& [per_begin, per_access] :
+       {std::pair{0.0, 0.0}, std::pair{1e-5, 2e-7}, std::pair{1e-4, 2e-6},
+        std::pair{1e-3, 2e-5}, std::pair{1e-2, 2e-4}}) {
+    RbPoint p = rb(2048, 0, 8, LockSel::kMcs, ElisionPolicy::hle());
+    p.tsx.spurious_per_begin = per_begin;
+    p.tsx.spurious_per_access = per_access;
+    sweep("abl-tuning", p);
+  }
+  for (const auto& [lock, pol] :
+       {std::pair{LockSel::kTtas, ElisionPolicy::hle()},
+        std::pair{LockSel::kBackoffTtas, ElisionPolicy::hle()},
+        std::pair{LockSel::kTtas, ElisionPolicy::hle_scm()}}) {
+    sweep("abl-tuning", rb(128, 100, 8, lock, pol));
+  }
+  return points;
 }
 
 }  // namespace
+
+std::string point_id(const PointSpec& spec) {
+  return std::visit(
+      [](const auto& p) {
+        return Fields<std::remove_cvref_t<decltype(p)>>::id(p);
+      },
+      spec);
+}
 
 const std::vector<SuitePoint>& suite_points() {
   static const std::vector<SuitePoint> points = build_points();
@@ -539,9 +752,7 @@ const std::vector<SuitePoint>& suite_points() {
 std::vector<SuitePoint> suite_points_for(SuiteTier tier) {
   std::vector<SuitePoint> out;
   for (const auto& p : suite_points()) {
-    if (tier == SuiteTier::kFull || p.tier == SuiteTier::kSmoke) {
-      out.push_back(p);
-    }
+    if (p.tier <= tier) out.push_back(p);
   }
   return out;
 }
@@ -661,9 +872,9 @@ void write_point_json(const PointRecord& r, std::FILE* out) {
                point_kind_name(d.kind()));
   std::string overrides;
   for_each_field(d.spec, [&](const auto& f, const auto& value) {
-    if (!f.nonzero_only) {
+    if (!f.is_override) {
       std::fprintf(out, "%s,", json_member(f.key, value).c_str());
-    } else if (!is_zero(value)) {
+    } else if (!(value == f.default_value())) {
       overrides += json_member(f.key, value) + ",";
     }
   });
@@ -1002,9 +1213,8 @@ GateReport compare_to_baseline(const SuiteResult& current,
 
   // Coverage loss: a baseline point of this tier that no longer runs.
   for (const auto& base : baseline.points) {
-    if (current.tier == SuiteTier::kSmoke &&
-        base.def.tier != SuiteTier::kSmoke) {
-      continue;  // baseline may be full-tier; smoke runs only its subset
+    if (base.def.tier > current.tier) {
+      continue;  // a smaller tier runs only its subset of the baseline
     }
     if (current.find(base.def.id) == nullptr) {
       report.regressions.push_back(
@@ -1287,6 +1497,23 @@ std::vector<InvariantResult> check_invariants(const SuiteResult& result) {
                     "(want 0)",
                     hle->metrics.spec_fraction, std_->metrics.spec_fraction);
       out.push_back({name, ok, false, buf});
+    }
+  }
+
+  // (14) The nested-SCM point runs Algorithm 3 as designed: with HLE
+  // allowed inside RTM, no attempt aborts for unsupported nesting (without
+  // the flag every nested acquisition does, and the point measures that).
+  {
+    const char* name = "scm-nested-never-aborts-on-nesting";
+    const auto* p = point("rb-s64-u20-t8-ttas-hle-scm-nested");
+    if (p == nullptr) {
+      out.push_back(skipped(name, "required point not in this tier"));
+    } else {
+      const std::uint64_t nesting = p->metrics.aborts_by_cause[
+          static_cast<std::size_t>(tsx::AbortCause::kNesting)];
+      std::snprintf(buf, sizeof buf, "%llu nesting aborts (want 0)",
+                    static_cast<unsigned long long>(nesting));
+      out.push_back({name, nesting == 0, false, buf});
     }
   }
 

@@ -1,6 +1,9 @@
 // Benchmark-suite orchestration: a curated, tiered set of (scheme x lock x
-// workload) points drawn from the figure/table/ablation benches, run through
-// the shared harness and service workloads, with
+// workload) points, run through the shared harness and service workloads.
+// The smoke and full tiers are hand-picked; the paper tier adds every run of
+// the RB-tree figures of Ch. 3-7 and their ablations as axis sweeps, which
+// scripts/figures.py renders into EXPERIMENTS.md's tables. The suite
+// provides
 //
 //   - canonical machine-readable results (BENCH_results.json) carrying
 //     per-point throughput, spec/nonspec fractions, attempts-per-op, the
@@ -35,7 +38,8 @@ namespace elision::harness {
 
 inline constexpr int kSuiteSchemaVersion = 1;
 
-enum class SuiteTier { kSmoke, kFull };
+// Each tier contains the ones before it: smoke ⊂ full ⊂ paper.
+enum class SuiteTier { kSmoke, kFull, kPaper };
 
 const char* suite_tier_name(SuiteTier t);
 std::optional<SuiteTier> suite_tier_from_name(const std::string& name);
@@ -62,7 +66,7 @@ using PointSpec = std::variant<RbPoint, MicroShape, BtPoint, PhasePoint,
 
 struct SuitePoint {
   std::string id;      // stable key used for baseline matching
-  SuiteTier tier = SuiteTier::kSmoke;  // smoke is a subset of the full tier
+  SuiteTier tier = SuiteTier::kSmoke;  // the smallest tier holding it
   std::string figure;  // paper figure/table the point reproduces
   PointSpec spec;
 
@@ -72,9 +76,14 @@ struct SuitePoint {
   }
 };
 
-// The curated list, smoke points first. Ids are unique.
+// A point's stable id, spelled from its kind's fields (e.g.
+// rb-s64-u20-t8-mcs-hle-scm); the registry derives every id with it.
+std::string point_id(const PointSpec& spec);
+
+// The curated list, smoke points first, then full, then the paper tier's
+// figure sweeps. Ids are unique.
 const std::vector<SuitePoint>& suite_points();
-// Points belonging to `tier` (kFull returns everything).
+// Points belonging to `tier` (kPaper returns everything).
 std::vector<SuitePoint> suite_points_for(SuiteTier tier);
 
 // `bench_suite --list` columns after id/tier/figure/kind, filled from each

@@ -1,5 +1,6 @@
-// Bench-suite tests: curated point list and its --list cells, the
-// byte-exact canonical JSON round-trip (full registry and the committed
+// Bench-suite tests: the tiered point registry (ids derived from the spec,
+// the committed baseline's ids still registered) and its --list cells, the
+// byte-exact canonical JSON round-trip (whole registry and the committed
 // baseline), the exact regression gate (one-op drifts, definition fields,
 // host fields, telemetry-off documents, coverage loss and planted
 // regressions), the paper-qualitative invariant checks, and the
@@ -16,6 +17,7 @@
 #include "harness/micro_point.hpp"
 #include "harness/rb_workload.hpp"
 #include "harness/suite.hpp"
+#include "locks/backoff_lock.hpp"
 #include "locks/clh_lock.hpp"
 #include "locks/mcs_lock.hpp"
 #include "locks/ticket_lock.hpp"
@@ -26,18 +28,59 @@
 namespace elision::harness {
 namespace {
 
-TEST(SuitePoints, SmokeIsNonTrivialSubsetOfFull) {
+TEST(SuitePoints, TiersNest) {
   const auto smoke = suite_points_for(SuiteTier::kSmoke);
   const auto full = suite_points_for(SuiteTier::kFull);
+  const auto paper = suite_points_for(SuiteTier::kPaper);
   EXPECT_GE(smoke.size(), 8u);
   EXPECT_GT(full.size(), smoke.size());
-  std::set<std::string> full_ids;
-  for (const auto& p : full) full_ids.insert(p.id);
-  // Ids are unique and every smoke point is in the full tier.
-  EXPECT_EQ(full_ids.size(), full.size());
-  for (const auto& p : smoke) {
-    EXPECT_EQ(p.tier, SuiteTier::kSmoke) << p.id;
-    EXPECT_TRUE(full_ids.count(p.id)) << p.id;
+  EXPECT_GT(paper.size(), full.size());
+  EXPECT_EQ(paper.size(), suite_points().size());
+  // smoke ⊂ full ⊂ paper, each point in the tiers from its own upward.
+  for (const auto& [tier, points] :
+       {std::pair{SuiteTier::kSmoke, &smoke},
+        std::pair{SuiteTier::kFull, &full}}) {
+    std::set<std::string> ids;
+    for (const auto& p : *points) {
+      EXPECT_LE(p.tier, tier) << p.id;
+      ids.insert(p.id);
+    }
+    for (const auto& p : paper) {
+      EXPECT_EQ(ids.count(p.id) == 1, p.tier <= tier) << p.id;
+    }
+  }
+}
+
+// Every id is spelled from its point's fields, so two registrations of one
+// run share it and two different runs never do.
+TEST(SuitePoints, IdsAreDerivedFromTheSpecAndUnique) {
+  std::set<std::string> ids;
+  for (const auto& sp : suite_points_for(SuiteTier::kPaper)) {
+    EXPECT_EQ(sp.id, point_id(sp.spec));
+    EXPECT_TRUE(ids.insert(sp.id).second) << "duplicate id " << sp.id;
+  }
+}
+
+TEST(SuitePoints, EveryBaselineIdIsRegistered) {
+  const auto baseline = load_results_file(ELISION_BASELINE_JSON);
+  ASSERT_TRUE(baseline.has_value());
+  std::set<std::string> ids;
+  for (const auto& sp : suite_points()) ids.insert(sp.id);
+  EXPECT_EQ(baseline->points.size(), 48u);
+  for (const auto& p : baseline->points) {
+    EXPECT_TRUE(ids.count(p.def.id)) << p.def.id;
+  }
+}
+
+// Algorithm 3 as designed needs HLE nested in RTM; without the engine flag
+// the point measures the Haswell nesting abort instead.
+TEST(SuitePoints, NestedScmPointAllowsHleInRtm) {
+  for (const auto& sp : suite_points()) {
+    if (sp.kind() != PointKind::kRb) continue;
+    const auto& p = std::get<RbPoint>(sp.spec);
+    if (p.scheme.spec() == "hle-scm-nested") {
+      EXPECT_TRUE(p.tsx.allow_hle_in_rtm) << sp.id;
+    }
   }
 }
 
@@ -178,12 +221,14 @@ TEST(RbWorkload, LockSelSlugsRoundTripAndNamesAreLockNames) {
       {LockSel::kClhAdj, locks::ClhLockAdjusted::kName},
       {LockSel::kTicket, locks::TicketLock::kName},
       {LockSel::kClh, locks::ClhLock::kName},
+      {LockSel::kBackoffTtas, locks::BackoffTtasLock::kName},
   };
   for (const auto& [sel, name] : cases) {
     EXPECT_STREQ(lock_sel_name(sel), name);
     EXPECT_EQ(parse_lock_sel(lock_sel_slug(sel)), sel) << name;
   }
   EXPECT_EQ(lock_sel_slug(LockSel::kTicketAdj), std::string("ticket-adj"));
+  EXPECT_EQ(lock_sel_slug(LockSel::kBackoffTtas), std::string("backoff-ttas"));
   EXPECT_FALSE(parse_lock_sel("TTAS").has_value());
   EXPECT_FALSE(parse_lock_sel("backoff").has_value());
 }
@@ -235,18 +280,19 @@ TEST(RbWorkload, OutParamsNeedASingleSeedPoint) {
   EXPECT_DEATH(run_rb_point(p), "single-seed");
 }
 
-// Synthetic metrics over the full registry: every point kind, the machine-
-// and micro-shape overrides, and every optional metric object.
+// Synthetic metrics over the whole registry: every point kind, the machine-
+// and micro-shape overrides, the engine overrides of the paper tier, and
+// every optional metric object.
 SuiteResult tiny_result() {
   SuiteResult r;
-  r.tier = SuiteTier::kFull;
+  r.tier = SuiteTier::kPaper;
   r.duration_scale = 1.0;
   r.telemetry_compiled = true;
   r.n_cores = 4;
   r.smt_per_core = 2;
   r.ghz = 3.4;
   int i = 0;
-  for (const auto& sp : suite_points_for(SuiteTier::kFull)) {
+  for (const auto& sp : suite_points_for(SuiteTier::kPaper)) {
     PointRecord rec;
     rec.def = sp;
     rec.metrics.throughput_ops_per_sec = 1e7 + 1e6 * i;
@@ -306,6 +352,32 @@ TEST(SuiteJson, ResultsRoundTrip) {
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->points.size(), suite_points().size());
   EXPECT_EQ(to_json_string(*parsed), text);
+  // The registry's engine overrides are among the re-emitted fields, each
+  // written because it differs from the TsxConfig default (a spurious rate
+  // of 0 included).
+  for (const char* member :
+       {"\"conflict_policy\":\"oldest-wins\"", "\"allow_hle_in_rtm\":true",
+        "\"hardware_extension\":true", "\"spurious_per_begin\":0,",
+        "\"spurious_per_access\":0,", "\"spurious_per_access\":2e-06,"}) {
+    EXPECT_NE(text.find(member), std::string::npos) << member;
+  }
+}
+
+// An engine override is written only when it differs from the default: the
+// 1e-5 spurious point keeps the default per-access rate and writes none.
+TEST(SuiteJson, OverridesAtTheirDefaultAreNotWritten) {
+  SuiteResult r;
+  for (const auto& sp : suite_points()) {
+    if (sp.id == "rb-s2048-u0-t8-mcs-hle-spb1e-05" ||
+        sp.id == "rb-s64-u20-t8-ttas-hle") {
+      r.points.push_back({sp, {}});
+    }
+  }
+  ASSERT_EQ(r.points.size(), 2u);
+  const std::string text = to_json_string(r);
+  EXPECT_NE(text.find("\"spurious_per_begin\":1e-05,"), std::string::npos);
+  EXPECT_EQ(text.find("spurious_per_access"), std::string::npos);
+  EXPECT_EQ(text.find("conflict_policy"), std::string::npos);
 }
 
 // The committed baseline's points re-emit byte for byte (its run.host line
@@ -334,7 +406,9 @@ TEST(SuiteJson, RejectsUnknownKindsAndNames) {
   for (const auto& [from, to] :
        {std::pair{"\"kind\":\"btree\"", "\"kind\":\"bogus\""},
         std::pair{"\"lock\":\"MCS\"", "\"lock\":\"bogus\""},
-        std::pair{"\"scheme\":\"hle-scm\"", "\"scheme\":\"bogus\""}}) {
+        std::pair{"\"scheme\":\"hle-scm\"", "\"scheme\":\"bogus\""},
+        std::pair{"\"conflict_policy\":\"oldest-wins\"",
+                  "\"conflict_policy\":\"bogus\""}}) {
     std::string bad = text;
     const auto at = bad.find(from);
     ASSERT_NE(at, std::string::npos) << from;
@@ -535,6 +609,28 @@ TEST(SuiteInvariants, ViolationIsReportedOnDoctoredResults) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(SuiteInvariants, NestedScmPointMustNotAbortOnNesting) {
+  auto verdict = [](std::uint64_t nesting_aborts) {
+    SuiteResult r = tiny_result();
+    auto* nested = const_cast<PointRecord*>(
+        r.find("rb-s64-u20-t8-ttas-hle-scm-nested"));
+    EXPECT_NE(nested, nullptr);
+    nested->metrics.aborts_by_cause[static_cast<std::size_t>(
+        tsx::AbortCause::kNesting)] = nesting_aborts;
+    for (const auto& inv : check_invariants(r)) {
+      if (inv.name == "scm-nested-never-aborts-on-nesting") {
+        EXPECT_FALSE(inv.skipped);
+        return inv.ok;
+      }
+    }
+    ADD_FAILURE() << "invariant not reported";
+    return false;
+  };
+  EXPECT_TRUE(verdict(0));
+  // The count the point recorded without the engine flag.
+  EXPECT_FALSE(verdict(51426));
 }
 
 TEST(SuiteInvariants, MissingPointsAreSkippedNotFailed) {

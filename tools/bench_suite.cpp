@@ -2,7 +2,7 @@
 // emit canonical machine-readable results, and optionally gate against a
 // committed baseline.
 //
-//   bench_suite [--tier smoke|full] [--point ID] [--jobs N]
+//   bench_suite [--tier smoke|full|paper] [--point ID] [--jobs N]
 //               [--host-threads N] [--out FILE]
 //               [--baseline FILE] [--gate] [--list] [--quiet]
 //               [--plant-regression FACTOR] [--plant-slowdown FACTOR]
@@ -67,7 +67,7 @@ struct Options {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  bench_suite [--tier smoke|full] [--point ID] [--jobs N]\n"
+      "  bench_suite [--tier smoke|full|paper] [--point ID] [--jobs N]\n"
       "              [--host-threads N] [--out FILE]\n"
       "              [--baseline FILE] [--gate] [--list] [--quiet]\n"
       "              [--plant-regression FACTOR] [--plant-slowdown FACTOR]\n"
@@ -85,7 +85,7 @@ Options parse(int argc, char** argv) {
     };
     if (a == "--tier") {
       const auto t = harness::suite_tier_from_name(next());
-      if (!t) usage("--tier must be smoke or full");
+      if (!t) usage("--tier must be smoke, full or paper");
       o.tier = *t;
     } else if (a == "--out") {
       o.out_file = next();

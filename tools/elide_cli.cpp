@@ -7,7 +7,7 @@
 //   elide stamp  APP [--lock L] [--scheme S] [--threads N] [--scale X]
 //   elide schemes [--size K] [--updates PCT] [--threads N]   (compare all)
 //
-// Locks: ttas mcs ticket ticket-adj clh clh-adj
+// Locks: ttas mcs ticket ticket-adj clh clh-adj backoff-ttas
 // Schemes: standard hle hle-scm pes-slr opt-slr opt-slr-scm rtm-elide
 //          hle-scm-nested hle-gscm, with optional :knob=N suffixes
 //          (locks/policy.hpp); stamp rejects +shared.
@@ -54,7 +54,7 @@ struct Options {
       "                [--scale X]\n"
       "  elide schemes [--size K] [--updates PCT] [--threads N] [--ms MS]\n"
       "\n"
-      "locks:   ttas mcs ticket ticket-adj clh clh-adj\n"
+      "locks:   ttas mcs ticket ticket-adj clh clh-adj backoff-ttas\n"
       "schemes: standard hle hle-scm pes-slr opt-slr opt-slr-scm rtm-elide\n"
       "         hle-scm-nested hle-gscm\n"
       "stamp apps: genome intruder kmeans_high kmeans_low ssca2\n"

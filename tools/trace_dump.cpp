@@ -10,7 +10,7 @@
 //              [--metrics FILE] [--metrics-format json|csv]
 //              [--all-schemes]
 //
-// Locks: ttas mcs ticket ticket-adj clh clh-adj
+// Locks: ttas mcs ticket ticket-adj clh clh-adj backoff-ttas
 // Schemes: any canonical policy spec (ElisionPolicy::parse), including
 //          tuned ones like `hle:spec-attempts=4` and the adaptive controller
 //          (`adaptive[:window=N:up=N:down=N:dwell=N]`), whose decision
@@ -65,7 +65,7 @@ struct Options {
       "             [--metrics FILE] [--metrics-format json|csv]\n"
       "             [--all-schemes]\n"
       "\n"
-      "locks:   ttas mcs ticket ticket-adj clh clh-adj\n"
+      "locks:   ttas mcs ticket ticket-adj clh clh-adj backoff-ttas\n"
       "schemes: any canonical policy spec (locks/policy.hpp), e.g.\n"
       "         standard hle hle-scm pes-slr opt-slr opt-slr-scm rtm-elide\n"
       "         hle-scm-nested hle-gscm adaptive hle:spec-attempts=4\n"
